@@ -228,13 +228,14 @@ struct TrainPrecisionBench {
 struct CheckpointBench {
     /// Network name.
     model: String,
-    /// On-disk checkpoint size (header + JSON payload).
+    /// On-disk checkpoint size (header, JSON metadata line, raw f32
+    /// tensor bytes).
     file_bytes: u64,
     /// Best-of-rounds latency of one atomic save (encode, tmp write,
     /// fsync, rename, directory fsync, rotation).
     save_best_ns: f64,
     /// Best-of-rounds latency of one fully validated load (read, header
-    /// checks, checksum, JSON parse).
+    /// checks, checksum, metadata parse, tensor rebuild, finiteness).
     load_best_ns: f64,
     /// Wall-clock overhead (percent, vs the same run without
     /// checkpointing) of saving after **every** training step.

@@ -8,22 +8,42 @@
 //! guards identity — a checkpoint saved for one (network, schedule) pair
 //! refuses to load into another.
 //!
-//! # On-disk format
+//! # On-disk format (version 2)
 //!
-//! Each checkpoint is one file named `ckpt-{seq:08}.mbsckpt` containing a
-//! single ASCII header line followed by a JSON payload:
+//! Each checkpoint is one file named `ckpt-{seq:08}.mbsckpt`: a single
+//! ASCII header line, then a payload of one JSON metadata line followed
+//! by the raw tensor bytes — the idiom the `*.mbsds` dataset format uses
+//! (a JSON index, then raw records):
 //!
 //! ```text
 //! MBSCKPT <version> <payload-bytes> <fnv1a64-hex>\n
-//! {"fingerprint":...,"model":[...],...}
+//! {"fingerprint":...,"net":...,"curve":[...],"model":[[2,3],...],"velocities":[...]}\n
+//! <model entry 0 as little-endian f32>...<velocities entry 0>...
 //! ```
 //!
-//! The header pins the format version, the exact payload length
-//! (detects truncation), and an FNV-1a 64 checksum of the payload
+//! The metadata holds every scalar field plus the shape of each `model`
+//! and `velocities` entry; the blob holds their values in that order,
+//! bit for bit. The header pins the format version, the exact payload
+//! length (detects truncation), and an FNV-1a 64 checksum of the payload
 //! (detects bit flips). Loading validates magic → version → length →
-//! checksum → JSON → fingerprint, in that order, so every torn or
-//! corrupted file is rejected with a descriptive error instead of
-//! producing a silently wrong resume.
+//! checksum → metadata JSON → blob length (the shapes must account for
+//! every blob byte, checked before any tensor is allocated) → finite
+//! values, in that order, so every torn, corrupted or poisoned file is
+//! rejected with a descriptive error instead of producing a silently
+//! wrong resume. The fingerprint is checked by the caller
+//! ([`load_latest`]).
+//!
+//! Version 1 files (the whole checkpoint as one JSON payload, floats
+//! printed as shortest-round-trip text) still load through the JSON
+//! decoder; nothing writes them any more.
+//!
+//! # Non-finite state
+//!
+//! A NaN or ±Inf anywhere in the state means the run has diverged;
+//! resuming it would only reproduce the divergence. [`save`] and
+//! [`encode`] refuse such state with [`CheckpointError::NonFinite`]
+//! before writing a byte, and [`decode`] rejects it the same way, so
+//! [`load_latest`] falls back past a poisoned file to an older good one.
 //!
 //! # Durability
 //!
@@ -42,18 +62,18 @@
 
 use std::fmt;
 use std::fs::{self, File};
-use std::io::Write as _;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use mbs_core::fnv1a64;
+use mbs_core::hash::{fnv1a64, fnv1a64_step};
 
 use crate::module::StateEntry;
 use crate::training::EpochStats;
 
 /// Current checkpoint format version (the second header field).
-pub const CKPT_VERSION: u64 = 1;
+pub const CKPT_VERSION: u64 = 2;
 
 /// Header magic (the first header field).
 pub const CKPT_MAGIC: &str = "MBSCKPT";
@@ -70,7 +90,7 @@ pub const CKPT_EXT: &str = "mbsckpt";
 /// batches of that epoch are already complete with `loss_sum` the sum of
 /// their losses over `steps` steps. An end-of-epoch checkpoint stores
 /// the *next* epoch with `step_in_epoch == 0`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct TrainCheckpoint {
     /// [`Schedule::fingerprint`](mbs_core::Schedule::fingerprint) of the
     /// (network, schedule) pair this state belongs to.
@@ -119,6 +139,20 @@ pub enum CheckpointError {
         /// Network name stored in the checkpoint.
         net: String,
     },
+    /// The state holds a NaN or infinity: the run has diverged, and a
+    /// resume from it would too. Raised by [`save`]/[`encode`] before a
+    /// byte is written and by [`decode`] on a poisoned file.
+    NonFinite {
+        /// Which part of the state: `"model"`, `"velocities"`,
+        /// `"loss_sum"` or `"curve"`.
+        section: &'static str,
+        /// Entry within the section (the curve's epoch row; 0 for
+        /// `loss_sum`).
+        entry: usize,
+        /// Element within the entry (for `curve`: 0 `train_loss`,
+        /// 1 `val_error_pct`, 2 `preact_first`, 3 `preact_last`).
+        index: usize,
+    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -139,6 +173,15 @@ impl fmt::Display for CheckpointError {
                 "checkpoint was saved for a different network/schedule \
                  (stored {found:#018x} for net {net:?}, this run is {expected:#018x})"
             ),
+            Self::NonFinite {
+                section,
+                entry,
+                index,
+            } => write!(
+                f,
+                "checkpoint state is not finite: {section} entry {entry} holds NaN or Inf \
+                 at index {index} (diverged run?)"
+            ),
         }
     }
 }
@@ -158,27 +201,167 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Encodes a checkpoint to its on-disk bytes (header line + JSON payload).
-pub fn encode(ckpt: &TrainCheckpoint) -> Vec<u8> {
-    let payload = serde_json::to_string(ckpt).expect("checkpoint structs always serialize");
-    let mut bytes = format!(
-        "{CKPT_MAGIC} {CKPT_VERSION} {} {:016x}\n",
-        payload.len(),
-        fnv1a64(payload.as_bytes())
-    )
-    .into_bytes();
-    bytes.extend_from_slice(payload.as_bytes());
-    bytes
+/// The version-2 metadata line: every field of a [`TrainCheckpoint`]
+/// except the tensor values, which follow it as raw bytes.
+#[derive(Serialize, Deserialize)]
+struct Metadata {
+    fingerprint: u64,
+    net: String,
+    epoch: usize,
+    step_in_epoch: usize,
+    loss_sum: f32,
+    steps: usize,
+    rng: Vec<u64>,
+    curve: Vec<EpochStats>,
+    /// Shape of each `model` entry, in order.
+    model: Vec<Vec<usize>>,
+    /// Shape of each `velocities` entry, in order.
+    velocities: Vec<Vec<usize>>,
 }
 
-/// Decodes and fully validates on-disk checkpoint bytes.
+/// The two tensor sections, in blob order.
+fn sections(ckpt: &TrainCheckpoint) -> [(&'static str, &[StateEntry]); 2] {
+    [("model", &ckpt.model), ("velocities", &ckpt.velocities)]
+}
+
+/// Fails with [`CheckpointError::NonFinite`] at the first NaN or ±Inf in
+/// `ckpt`, scalars first, then the tensors in blob order.
+fn check_finite(ckpt: &TrainCheckpoint) -> Result<(), CheckpointError> {
+    let non_finite = |section, entry, index| CheckpointError::NonFinite {
+        section,
+        entry,
+        index,
+    };
+    if !ckpt.loss_sum.is_finite() {
+        return Err(non_finite("loss_sum", 0, 0));
+    }
+    for (entry, e) in ckpt.curve.iter().enumerate() {
+        let fields = [
+            e.train_loss.is_finite(),
+            e.val_error_pct.is_finite(),
+            e.preact_first.is_finite(),
+            e.preact_last.is_finite(),
+        ];
+        if let Some(index) = fields.iter().position(|&ok| !ok) {
+            return Err(non_finite("curve", entry, index));
+        }
+    }
+    for (section, entries) in sections(ckpt) {
+        for (entry, e) in entries.iter().enumerate() {
+            if let Some(index) = e.data.iter().position(|v| !v.is_finite()) {
+                return Err(non_finite(section, entry, index));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Values a shape holds, or `None` if the product overflows.
+fn elements(shape: &[usize]) -> Option<usize> {
+    shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+}
+
+/// Streams every tensor value of `ckpt`, in blob order, to `sink` as
+/// little-endian bytes, a bounded chunk at a time.
+fn for_each_blob_chunk(
+    ckpt: &TrainCheckpoint,
+    mut sink: impl FnMut(&[u8]) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    const CHUNK: usize = 16 * 1024;
+    let mut buf = Vec::with_capacity(CHUNK * 4);
+    for (_, entries) in sections(ckpt) {
+        for e in entries {
+            for values in e.data.chunks(CHUNK) {
+                buf.clear();
+                buf.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+                sink(&buf)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Writes `ckpt` in the current on-disk format to `w`: the one writer
+/// behind [`encode`] and [`save`].
+///
+/// The tensor values are streamed twice — once through the checksum,
+/// once to `w` — in bounded chunks, so no copy of the state is built.
+///
+/// # Errors
+///
+/// [`CheckpointError::NonFinite`] if the state holds a NaN or ±Inf and
+/// [`CheckpointError::Format`] if an entry's data does not fill its
+/// shape — both before anything is written; [`CheckpointError::Io`] if
+/// `w` fails.
+pub fn encode_into<W: Write>(ckpt: &TrainCheckpoint, w: &mut W) -> Result<(), CheckpointError> {
+    check_finite(ckpt)?;
+    let mut blob_len = 0usize;
+    for (section, entries) in sections(ckpt) {
+        for (entry, e) in entries.iter().enumerate() {
+            if elements(&e.shape) != Some(e.data.len()) {
+                return Err(CheckpointError::Format(format!(
+                    "{section} entry {entry} has shape {:?} but {} values",
+                    e.shape,
+                    e.data.len()
+                )));
+            }
+            blob_len += e.data.len() * 4;
+        }
+    }
+    let shapes = |entries: &[StateEntry]| entries.iter().map(|e| e.shape.clone()).collect();
+    let mut meta = serde_json::to_string(&Metadata {
+        fingerprint: ckpt.fingerprint,
+        net: ckpt.net.clone(),
+        epoch: ckpt.epoch,
+        step_in_epoch: ckpt.step_in_epoch,
+        loss_sum: ckpt.loss_sum,
+        steps: ckpt.steps,
+        rng: ckpt.rng.clone(),
+        curve: ckpt.curve.clone(),
+        model: shapes(&ckpt.model),
+        velocities: shapes(&ckpt.velocities),
+    })
+    .expect("checkpoint metadata always serializes");
+    // Compact JSON escapes every newline inside strings, so this one
+    // ends the metadata unambiguously.
+    meta.push('\n');
+    let mut checksum = fnv1a64(meta.as_bytes());
+    for_each_blob_chunk(ckpt, |bytes| {
+        checksum = fnv1a64_step(checksum, bytes);
+        Ok(())
+    })?;
+    let payload_len = meta.len() + blob_len;
+    writeln!(
+        w,
+        "{CKPT_MAGIC} {CKPT_VERSION} {payload_len} {checksum:016x}"
+    )?;
+    w.write_all(meta.as_bytes())?;
+    for_each_blob_chunk(ckpt, |bytes| w.write_all(bytes))?;
+    Ok(())
+}
+
+/// Encodes a checkpoint to its on-disk bytes (see [`encode_into`]).
+///
+/// # Errors
+///
+/// As [`encode_into`], minus I/O.
+pub fn encode(ckpt: &TrainCheckpoint) -> Result<Vec<u8>, CheckpointError> {
+    let mut bytes = Vec::new();
+    encode_into(ckpt, &mut bytes)?;
+    Ok(bytes)
+}
+
+/// Decodes and fully validates on-disk checkpoint bytes, of the current
+/// version or version 1.
 ///
 /// # Errors
 ///
 /// [`CheckpointError::Format`] on bad magic, malformed header, length
-/// mismatch (truncation), checksum mismatch (corruption), or an
-/// unparseable payload; [`CheckpointError::Version`] when the header
-/// declares a version newer than [`CKPT_VERSION`].
+/// mismatch (truncation), checksum mismatch (corruption), unparseable
+/// metadata, or shapes that do not account for the tensor bytes exactly;
+/// [`CheckpointError::Version`] when the header declares a version newer
+/// than [`CKPT_VERSION`]; [`CheckpointError::NonFinite`] when the state
+/// holds a NaN or ±Inf.
 pub fn decode(bytes: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
     let bad = |msg: String| CheckpointError::Format(msg);
     let nl = bytes
@@ -223,9 +406,81 @@ pub fn decode(bytes: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
             "payload checksum {actual:016x} does not match header {checksum:016x} (corrupt file?)"
         )));
     }
+    let ckpt = if version == CKPT_VERSION {
+        decode_v2(payload)?
+    } else {
+        decode_v1(payload)?
+    };
+    check_finite(&ckpt)?;
+    Ok(ckpt)
+}
+
+/// Version 1: the whole checkpoint as one JSON document.
+fn decode_v1(payload: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
+    let bad = |msg: String| CheckpointError::Format(msg);
     let payload =
         std::str::from_utf8(payload).map_err(|_| bad("payload is not valid UTF-8".into()))?;
     serde_json::from_str(payload).map_err(|e| bad(format!("payload does not parse: {e}")))
+}
+
+/// Version 2: a metadata line, then the raw tensor blob.
+fn decode_v2(payload: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
+    let bad = |msg: String| CheckpointError::Format(msg);
+    let nl = payload
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(|| bad("metadata line is not terminated".into()))?;
+    let meta = std::str::from_utf8(&payload[..nl])
+        .map_err(|_| bad("metadata is not valid UTF-8".into()))?;
+    let meta: Metadata =
+        serde_json::from_str(meta).map_err(|e| bad(format!("metadata does not parse: {e}")))?;
+    let blob = &payload[nl + 1..];
+    // Prove the shapes account for the blob exactly before allocating
+    // anything they declare.
+    let declared = meta
+        .model
+        .iter()
+        .chain(&meta.velocities)
+        .try_fold(0usize, |sum, shape| {
+            elements(shape)?.checked_mul(4)?.checked_add(sum)
+        });
+    if declared != Some(blob.len()) {
+        let declared = declared.map_or("more than usize::MAX".into(), |n| n.to_string());
+        return Err(bad(format!(
+            "metadata shapes declare {declared} tensor bytes but the blob holds {}",
+            blob.len()
+        )));
+    }
+    let mut rest = blob;
+    let mut take = |shapes: Vec<Vec<usize>>| -> Vec<StateEntry> {
+        shapes
+            .into_iter()
+            .map(|shape| {
+                let n = elements(&shape).expect("checked above");
+                let (head, tail) = rest.split_at(n * 4);
+                rest = tail;
+                let data = head
+                    .chunks_exact(4)
+                    .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                    .collect();
+                StateEntry { shape, data }
+            })
+            .collect()
+    };
+    let model = take(meta.model);
+    let velocities = take(meta.velocities);
+    Ok(TrainCheckpoint {
+        fingerprint: meta.fingerprint,
+        net: meta.net,
+        epoch: meta.epoch,
+        step_in_epoch: meta.step_in_epoch,
+        loss_sum: meta.loss_sum,
+        steps: meta.steps,
+        rng: meta.rng,
+        model,
+        velocities,
+        curve: meta.curve,
+    })
 }
 
 /// File name of checkpoint number `seq` (`ckpt-00000042.mbsckpt`).
@@ -236,39 +491,59 @@ pub fn file_name(seq: usize) -> String {
 /// Atomically writes checkpoint `seq` into `dir` and rotates old files,
 /// keeping the newest `keep` (`keep == 0` is treated as 1).
 ///
-/// The bytes land in `<name>.tmp` first, are fsynced, renamed over the
-/// final name, and the directory is fsynced — a crash at any point
-/// leaves either the old checkpoint set or the new file complete, never
-/// a torn `*.mbsckpt`.
+/// The bytes stream from [`encode_into`] into `<name>.tmp`, are fsynced,
+/// renamed over the final name, and the directory is fsynced — a crash
+/// at any point leaves either the old checkpoint set or the new file
+/// complete, never a torn `*.mbsckpt`.
 ///
 /// # Errors
 ///
-/// Propagates filesystem failures as [`CheckpointError::Io`].
+/// Propagates filesystem failures as [`CheckpointError::Io`]; refuses
+/// non-finite state with [`CheckpointError::NonFinite`], leaving the
+/// directory as it was.
 pub fn save(
     dir: &Path,
     seq: usize,
     ckpt: &TrainCheckpoint,
     keep: usize,
 ) -> Result<PathBuf, CheckpointError> {
-    let path = write_atomic(dir, seq, &encode(ckpt))?;
+    let path = write_atomic(dir, seq, |w| encode_into(ckpt, w))?;
     rotate(dir, keep.max(1))?;
     Ok(path)
 }
 
 /// The atomic tmp-write/fsync/rename/dir-fsync sequence behind [`save`],
-/// taking raw bytes so fault-injection tests can write corrupted images
-/// through the same code path.
-fn write_atomic(dir: &Path, seq: usize, bytes: &[u8]) -> Result<PathBuf, CheckpointError> {
+/// taking the writer as a closure so fault-injection tests can write
+/// corrupted images through the same code path. A failed write removes
+/// its `.tmp` file.
+fn write_atomic(
+    dir: &Path,
+    seq: usize,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), CheckpointError>,
+) -> Result<PathBuf, CheckpointError> {
     fs::create_dir_all(dir)?;
     let path = dir.join(file_name(seq));
     let tmp = dir.join(format!("{}.tmp", file_name(seq)));
-    let mut f = File::create(&tmp)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
+    let written = write_synced(&tmp, write);
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    written?;
     fs::rename(&tmp, &path)?;
     sync_dir(dir);
     Ok(path)
+}
+
+/// Creates `path`, fills it through `write`, and fsyncs it.
+fn write_synced(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), CheckpointError>,
+) -> Result<(), CheckpointError> {
+    let mut w = BufWriter::with_capacity(1 << 16, File::create(path)?);
+    write(&mut w)?;
+    let f = w.into_inner().map_err(|e| e.into_error())?;
+    f.sync_all()?;
+    Ok(())
 }
 
 /// Fsyncs the directory so a just-renamed file survives a crash. Best
@@ -536,21 +811,19 @@ impl FaultPlan {
                 // Write and fsync the tmp file, then "die": no rename.
                 fs::create_dir_all(dir)?;
                 let tmp = dir.join(format!("{}.tmp", file_name(seq)));
-                let mut f = File::create(&tmp)?;
-                f.write_all(&encode(ckpt))?;
-                f.sync_all()?;
+                write_synced(&tmp, |w| encode_into(ckpt, w))?;
             }
             Some(Fault::Truncate(n)) => {
-                let bytes = encode(ckpt);
+                let bytes = encode(ckpt)?;
                 let cut = bytes.len().saturating_sub(n.max(1));
-                write_atomic(dir, seq, &bytes[..cut])?;
+                write_atomic(dir, seq, |w| Ok(w.write_all(&bytes[..cut])?))?;
                 rotate(dir, keep.max(1))?;
             }
             Some(Fault::FlipByte(i)) => {
-                let mut bytes = encode(ckpt);
+                let mut bytes = encode(ckpt)?;
                 let at = i % bytes.len();
                 bytes[at] ^= 0x40;
-                write_atomic(dir, seq, &bytes)?;
+                write_atomic(dir, seq, |w| Ok(w.write_all(&bytes)?))?;
                 rotate(dir, keep.max(1))?;
             }
         }
@@ -603,7 +876,7 @@ mod tests {
     #[test]
     fn encode_decode_round_trips_bitwise() {
         let ckpt = sample(0xdead_beef);
-        let decoded = decode(&encode(&ckpt)).unwrap();
+        let decoded = decode(&encode(&ckpt).unwrap()).unwrap();
         assert_eq!(decoded, ckpt);
         // PartialEq on f32 treats -0.0 == 0.0; check the sign survived.
         assert_eq!(decoded.velocities[0].data[1].to_bits(), (-0.0f32).to_bits());
@@ -611,7 +884,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_damage_with_descriptive_errors() {
-        let good = encode(&sample(7));
+        let good = encode(&sample(7)).unwrap();
         // Truncation: header length no longer matches.
         let torn = &good[..good.len() - 5];
         assert!(
@@ -631,12 +904,133 @@ mod tests {
             matches!(decode(&magic), Err(CheckpointError::Format(msg)) if msg.contains("magic"))
         );
         // Future version.
-        let text = String::from_utf8(good).unwrap();
-        let bumped = text.replacen(&format!("{CKPT_MAGIC} 1 "), &format!("{CKPT_MAGIC} 99 "), 1);
-        assert!(matches!(
-            decode(bumped.as_bytes()),
-            Err(CheckpointError::Version(99))
-        ));
+        let mut bumped = format!("{CKPT_MAGIC} 99").into_bytes();
+        bumped.extend_from_slice(&good[format!("{CKPT_MAGIC} {CKPT_VERSION}").len()..]);
+        assert!(matches!(decode(&bumped), Err(CheckpointError::Version(99))));
+    }
+
+    /// `payload` behind a header that passes the length and checksum
+    /// checks, so decoding reaches the payload's own validation.
+    fn reseal(version: u64, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = format!(
+            "{CKPT_MAGIC} {version} {} {:016x}\n",
+            payload.len(),
+            fnv1a64(payload)
+        )
+        .into_bytes();
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    fn payload(bytes: &[u8]) -> &[u8] {
+        let nl = bytes.iter().position(|&b| b == b'\n').unwrap();
+        &bytes[nl + 1..]
+    }
+
+    #[test]
+    fn save_refuses_non_finite_state_and_writes_nothing() {
+        let dir = scratch("nonfinite-save");
+        save(&dir, 0, &sample(3), 3).unwrap();
+        let poisoned = |poison: fn(&mut TrainCheckpoint)| {
+            let mut ckpt = sample(3);
+            poison(&mut ckpt);
+            ckpt
+        };
+        let cases = [
+            (poisoned(|c| c.model[0].data[2] = f32::NAN), ("model", 0, 2)),
+            (
+                poisoned(|c| c.velocities[0].data[3] = f32::INFINITY),
+                ("velocities", 0, 3),
+            ),
+            (
+                poisoned(|c| c.loss_sum = f32::NEG_INFINITY),
+                ("loss_sum", 0, 0),
+            ),
+            (
+                poisoned(|c| c.curve[0].val_error_pct = f64::NAN),
+                ("curve", 0, 1),
+            ),
+        ];
+        for (ckpt, want) in cases {
+            let err = save(&dir, 1, &ckpt, 3).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::NonFinite { section, entry, index }
+                    if (section, entry, index) == want),
+                "{err}"
+            );
+            assert!(matches!(
+                encode(&ckpt),
+                Err(CheckpointError::NonFinite { .. })
+            ));
+        }
+        // Only the good file is there: no finished or .tmp leftovers.
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from(file_name(0))]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn decode_rejects_non_finite_values_in_both_versions() {
+        // v2: overwrite the last model value (blob bytes right before the
+        // 16 velocity bytes) with +Inf.
+        let good = encode(&sample(4)).unwrap();
+        let mut p = payload(&good).to_vec();
+        let at = p.len() - 16 - 4;
+        p[at..at + 4].copy_from_slice(&f32::INFINITY.to_le_bytes());
+        let err = decode(&reseal(CKPT_VERSION, &p)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CheckpointError::NonFinite {
+                    section: "model",
+                    entry: 0,
+                    index: 3
+                }
+            ),
+            "{err}"
+        );
+        // v1 wrote NaN and Inf as JSON `null`, which reads back as NaN.
+        let v1 = br#"{"fingerprint":1,"net":"N","epoch":0,"step_in_epoch":0,"loss_sum":0.0,"steps":0,"rng":[1,2,3,4],"model":[{"shape":[2],"data":[1.0,null]}],"velocities":[],"curve":[]}"#;
+        let err = decode(&reseal(1, v1)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CheckpointError::NonFinite {
+                    section: "model",
+                    entry: 0,
+                    index: 1
+                }
+            ),
+            "{err}"
+        );
+        // The same document with the null replaced loads.
+        let fixed = String::from_utf8(v1.to_vec())
+            .unwrap()
+            .replace("null", "2.0");
+        assert_eq!(
+            decode(&reseal(1, fixed.as_bytes())).unwrap().model[0].data,
+            [1.0, 2.0]
+        );
+    }
+
+    #[test]
+    fn load_latest_falls_back_past_a_poisoned_file() {
+        let dir = scratch("poisoned");
+        save(&dir, 0, &sample(6), 3).unwrap();
+        let good = encode(&sample(6)).unwrap();
+        let mut p = payload(&good).to_vec();
+        let last = p.len() - 4;
+        p[last..].copy_from_slice(&f32::NAN.to_le_bytes());
+        write_atomic(&dir, 1, |w| Ok(w.write_all(&reseal(CKPT_VERSION, &p))?)).unwrap();
+        let (found, report) = load_latest(&dir, 6).unwrap();
+        assert_eq!(found.unwrap().0, 0, "must fall back past the NaN file");
+        assert_eq!(report.skipped.len(), 1);
+        assert!(report.skipped[0].0.ends_with(file_name(1)));
+        assert!(report.skipped[0].1.contains("not finite"), "{report}");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

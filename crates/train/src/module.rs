@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 use mbs_tensor::ops::BitMask;
 use mbs_tensor::prec::{Bf16Tensor, Precision};
@@ -189,9 +189,10 @@ pub(crate) fn stash_mismatch(wanted: &str, got: &CacheEntry) -> ! {
 
 /// One serialized piece of a module's durable state: a shaped f32 blob
 /// (a parameter tensor, or auxiliary state like batch-norm running
-/// statistics). The JSON encoding round-trips every finite f32 bitwise
-/// (`serde_json` prints shortest-round-trip floats).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// statistics). Checkpoints store the shape in their metadata and the
+/// values as raw little-endian bytes, so every finite f32 round-trips
+/// bitwise; the `Deserialize` impl reads version-1 (all-JSON) files.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct StateEntry {
     /// Tensor shape (auxiliary vectors use a rank-1 shape).
     pub shape: Vec<usize>,

@@ -262,6 +262,39 @@ fn mismatched_checkpoint_directory_is_refused() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A diverged run (a NaN learning rate poisons every parameter on the
+/// first step) cannot checkpoint: the save is refused as a structured
+/// error, and the directory gains no file a resume could pick up.
+#[test]
+fn diverged_state_is_refused_at_save() {
+    let case = &cases()[0];
+    let dir = scratch("diverged");
+    let mut cfg = base_cfg();
+    cfg.base_lr = f32::NAN;
+    cfg.checkpoint = Some(ckpt(&dir, 1, 3));
+    let err = train_grouped(
+        &case.net,
+        &case.schedule,
+        &case.train_set,
+        &case.val_set,
+        &cfg,
+    )
+    .expect_err("a NaN model must not checkpoint");
+    assert!(
+        matches!(
+            err,
+            TrainError::Checkpoint(CheckpointError::NonFinite {
+                section: "model",
+                ..
+            })
+        ),
+        "want NonFinite in the model, got {err}"
+    );
+    let left = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+    assert_eq!(left, 0, "a refused save leaves nothing behind");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Resuming a directory whose newest checkpoint is already at the final
 /// epoch returns the stored curve without training further.
 #[test]

@@ -120,7 +120,7 @@ fn final_state_bytes(dir: &Path, case: &Case) -> Vec<u8> {
     let (found, report) = checkpoint::load_latest(dir, fingerprint).expect("readable dir");
     assert!(report.is_clean(), "{}: {report}", dir.display());
     let (_, ckpt) = found.expect("final checkpoint exists");
-    checkpoint::encode(&ckpt)
+    checkpoint::encode(&ckpt).expect("finite state encodes")
 }
 
 /// The headline matrix. The dataset goes to disk with a chunk size (5)
