@@ -2,28 +2,37 @@
 //! three GEMMs of the paper's Tab. 1 — on the packed blocked GEMM core.
 //!
 //! The forward and weight-gradient paths are **fused**: the im2col lowering
-//! of the input is a virtual [`MatSrc::Im2col`] operand whose
-//! receptive-field tiles are generated directly into the GEMM packing
-//! buffers, so the full `[n·ho·wo, ci·kh·kw]` column matrix never exists in
-//! memory. The data gradient computes its column-gradient matrix into a
-//! reusable arena buffer (its `col2im` scatter is the adjoint direction, so
-//! there is no input-side lowering to elide) and scatters per sample in
-//! parallel.
+//! of the input is a virtual operand ([`MatSrc::Im2colT`] in the forward,
+//! [`MatSrc::Im2col`] in the weight gradient) whose receptive-field tiles
+//! are generated directly into the GEMM packing buffers, so the full
+//! `[n·ho·wo, ci·kh·kw]` column matrix never exists in memory. The data
+//! gradient computes its column-gradient matrix into a reusable arena
+//! buffer (its `col2im` scatter is the adjoint direction, so there is no
+//! input-side lowering to elide) and scatters per sample in parallel.
 //!
-//! [`conv2d_fused`] additionally folds a per-channel bias into the GEMM's
-//! C write-back ([`Epilogue::Bias`]) and a ReLU (with its 1-bit sign mask)
-//! into the flat→NCHW transpose that conv already pays — bias and
-//! activation in **zero extra passes** over the output.
+//! The forward runs `y = W · cols(x)ᵀ`: C rows are output channels and C
+//! columns are `(sample, pixel)` pairs, so the GEMM's final-panel store
+//! writes the NCHW output directly. [`conv2d_fused`] folds a per-channel
+//! bias and a ReLU (with its 1-bit sign mask, in NCHW order) into that
+//! same store ([`Epilogue::Rows`]) — bias and activation in **zero extra
+//! passes** over the output.
+//!
+//! Both weight-reading GEMMs accept the weights prepacked
+//! ([`pack_conv_forward`], [`pack_conv_backward_data`]), so a layer that
+//! runs once per MBS sub-batch packs them once per weight update, not once
+//! per call. Packed or not, results are bitwise identical.
 //!
 //! [`conv2d_naive`] keeps the direct loop nest as the reference
 //! implementation the equivalence tests pin everything against.
 
 use crate::arena;
-use crate::ops::activation::{relu_inplace, BitMask};
+use crate::ops::activation::{relu_inplace, BitMask, MaskSink};
 use crate::ops::im2col::{col2im_t, Conv2dCfg};
+use crate::ops::kernel::{self, MicroKernel};
 use crate::ops::pack::{
-    configured_threads, fuse_enabled, gemm, gemm_fused, Epilogue, Im2colGeom, MatSrc,
+    configured_threads, fuse_enabled, gemm, gemm_nchw, Epilogue, Im2colGeom, MatSrc, PackedOperand,
 };
+use crate::prec;
 use crate::tensor::Tensor;
 
 fn dims(
@@ -80,9 +89,10 @@ pub fn conv2d_naive(x: &Tensor, w: &Tensor, cfg: Conv2dCfg) -> Tensor {
     out
 }
 
-/// Fused im2col + GEMM convolution forward: `y = cols(x) · Wᵀ`, where
-/// `cols(x)` is a virtual operand streamed tile-by-tile into the packed-A
-/// buffer (never materialized).
+/// Fused im2col + GEMM convolution forward: `y = W · cols(x)ᵀ`, where
+/// `cols(x)ᵀ` is a virtual operand streamed tile-by-tile into the packed-B
+/// buffer (never materialized) and the GEMM writes its `[co × n·ho·wo]`
+/// product straight into the NCHW output.
 ///
 /// # Examples
 ///
@@ -100,58 +110,49 @@ pub fn conv2d_naive(x: &Tensor, w: &Tensor, cfg: Conv2dCfg) -> Tensor {
 /// assert_eq!(y.get(&[0, 0, 0, 0]), 4.0); // corner: 2×2 window in-bounds
 /// ```
 pub fn conv2d(x: &Tensor, w: &Tensor, cfg: Conv2dCfg) -> Tensor {
-    conv2d_gemm(x, w, None, false, cfg).0
+    conv2d_packed(x, w, None, None, false, cfg, false).0
 }
 
-/// The shared conv-forward body: GEMM in im2col row order ([n·ho·wo, co],
-/// with an optional per-column bias epilogue), then one cheap transpose
-/// into the NCHW output (with an optional fused ReLU + sign mask). Both
-/// [`conv2d`] and the fused branch of [`conv2d_fused_with`] run here.
-fn conv2d_gemm(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&[f32]>,
-    relu: bool,
-    cfg: Conv2dCfg,
-) -> (Tensor, Option<BitMask>) {
-    let (n, ci, h, wd, co, ho, wo) = dims(x, w, cfg);
-    let geom = Im2colGeom::new(n, ci, h, wd, cfg);
-    let (m, k) = (geom.rows(), geom.cols());
-    // A zero-channel input (k == 0) leaves the GEMM output untouched, so
-    // that degenerate case needs the zeroed buffer (bias is routed to the
-    // separate-pass path before reaching here — the epilogue needs a
-    // non-empty reduction).
-    debug_assert!(bias.is_none() || k > 0);
-    let mut flat = if k == 0 {
-        arena::take_zeroed(m * co)
-    } else {
-        arena::take(m * co)
-    };
-    let asrc = MatSrc::Im2col { x: x.data(), geom };
-    let bsrc = MatSrc::ColMajor {
-        data: w.data(),
-        stride: k,
-    };
-    match bias {
-        // Flat columns are output channels, so the per-channel bias is a
-        // per-column GEMM epilogue.
-        Some(b) => gemm_fused(&asrc, &bsrc, &mut flat, m, co, k, &Epilogue::Bias(b)),
-        None => gemm(&asrc, &bsrc, &mut flat, m, co, k),
-    }
-    let mut out = Tensor::uninit(&[n, co, ho, wo]);
-    let mask = if relu {
-        Some(rows_to_nchw_relu(&flat, n, co, ho, wo, out.data_mut()))
-    } else {
-        rows_to_nchw(&flat, n, co, ho, wo, out.data_mut());
-        None
-    };
-    (out, mask)
+/// Packs `w` (`[co, ci, kh, kw]`) as the forward GEMM's A operand — the
+/// `[co × ci·kh·kw]` weight matrix in the process kernel's strips and
+/// precision — for [`conv2d_packed`]. A layer builds it once per weight
+/// update and reuses it for every sub-batch.
+pub fn pack_conv_forward(w: &Tensor) -> PackedOperand {
+    let (co, taps) = weight_dims(w);
+    PackedOperand::a(
+        &MatSrc::RowMajor {
+            data: w.data(),
+            stride: taps,
+        },
+        co,
+        taps,
+    )
 }
 
-/// [`conv2d`] with a per-channel bias and optional ReLU fused in: the bias
-/// rides the GEMM epilogue (its columns *are* output channels in im2col
-/// row order), the ReLU clamp and its sign mask ride the flat→NCHW
-/// transpose conv performs anyway — zero extra passes over the output.
+/// Packs `w` as the data-gradient GEMM's A operand — the transposed
+/// `[ci·kh·kw × co]` weight matrix — for [`conv2d_backward_data_packed`].
+pub fn pack_conv_backward_data(w: &Tensor) -> PackedOperand {
+    let (co, taps) = weight_dims(w);
+    PackedOperand::a(
+        &MatSrc::ColMajor {
+            data: w.data(),
+            stride: taps,
+        },
+        taps,
+        co,
+    )
+}
+
+/// `(co, ci·kh·kw)` of a 4-D weight tensor.
+fn weight_dims(w: &Tensor) -> (usize, usize) {
+    let co = w.shape()[0];
+    (co, w.len().checked_div(co).unwrap_or(0))
+}
+
+/// [`conv2d`] with a per-channel bias and optional ReLU fused in: both
+/// ride the GEMM's final-panel store (C rows *are* output channels, so
+/// the bias is a per-row epilogue, and the clamp emits its 1-bit sign mask
+/// from the same vector compare) — zero extra passes over the output.
 /// Honors the process-wide `MBS_FUSE` knob; the mask (when `relu`) is in
 /// NCHW element order, ready for [`crate::ops::relu_backward`].
 ///
@@ -180,6 +181,26 @@ pub fn conv2d_fused_with(
     cfg: Conv2dCfg,
     fused: bool,
 ) -> (Tensor, Option<BitMask>) {
+    conv2d_packed(x, w, None, bias, relu, cfg, fused)
+}
+
+/// [`conv2d_fused_with`] reading the weights from `pack`, a
+/// [`pack_conv_forward`] of `w`, when given (`w` still supplies the
+/// shape). Results are bitwise identical with or without the pack.
+///
+/// # Panics
+///
+/// As for [`conv2d_fused`], and if `pack` was not built from a weight of
+/// `w`'s shape under the process kernel and precision.
+pub fn conv2d_packed(
+    x: &Tensor,
+    w: &Tensor,
+    pack: Option<&PackedOperand>,
+    bias: Option<&[f32]>,
+    relu: bool,
+    cfg: Conv2dCfg,
+    fused: bool,
+) -> (Tensor, Option<BitMask>) {
     let (_, ci, _, _, co, ho, wo) = dims(x, w, cfg);
     if let Some(b) = bias {
         assert_eq!(b.len(), co, "one bias per output channel");
@@ -188,24 +209,100 @@ pub fn conv2d_fused_with(
     // GEMM epilogue can never fire, so route through the separate-pass
     // path — the fused/unfused parity contract covers degenerate shapes
     // too.
-    let fused = fused && ci * cfg.kernel_h * cfg.kernel_w > 0;
-    if !fused {
-        let mut y = conv2d(x, w, cfg);
-        if let Some(b) = bias {
-            let hw = ho * wo;
-            for (chunk, &bv) in y.data_mut().chunks_exact_mut(hw).zip(b.iter().cycle()) {
-                for v in chunk {
-                    *v += bv;
-                }
+    if fused && ci * cfg.kernel_h * cfg.kernel_w > 0 {
+        return conv2d_packed_with(
+            x,
+            w,
+            pack,
+            bias,
+            relu,
+            cfg,
+            configured_threads(),
+            kernel::selected(),
+        );
+    }
+    let mut y = conv2d_packed_with(
+        x,
+        w,
+        pack,
+        None,
+        false,
+        cfg,
+        configured_threads(),
+        kernel::selected(),
+    )
+    .0;
+    if let Some(b) = bias {
+        let hw = ho * wo;
+        for (chunk, &bv) in y.data_mut().chunks_exact_mut(hw).zip(b.iter().cycle()) {
+            for v in chunk {
+                *v += bv;
             }
         }
-        if relu {
-            let mask = relu_inplace(&mut y);
-            return (y, Some(mask));
-        }
-        return (y, None);
     }
-    conv2d_gemm(x, w, bias, relu, cfg)
+    if relu {
+        let mask = relu_inplace(&mut y);
+        return (y, Some(mask));
+    }
+    (y, None)
+}
+
+/// The one conv-forward body, on an explicit thread count and
+/// micro-kernel (the parity tests sweep both): `y = W · cols(x)ᵀ` with the
+/// bias and ReLU (mask included) in the GEMM's final-panel store, written
+/// straight into NCHW.
+///
+/// # Panics
+///
+/// As for [`conv2d_packed`], and if a bias or ReLU is requested on a
+/// zero-channel input (an empty reduction has no final panel to fuse
+/// into).
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_packed_with(
+    x: &Tensor,
+    w: &Tensor,
+    pack: Option<&PackedOperand>,
+    bias: Option<&[f32]>,
+    relu: bool,
+    cfg: Conv2dCfg,
+    threads: usize,
+    kern: &MicroKernel,
+) -> (Tensor, Option<BitMask>) {
+    let (n, ci, h, wd, co, ho, wo) = dims(x, w, cfg);
+    let geom = Im2colGeom::new(n, ci, h, wd, cfg);
+    let (pixels, k) = (geom.rows(), geom.cols());
+    // A zero-channel input (k == 0) leaves the GEMM output untouched.
+    let mut out = if k == 0 {
+        Tensor::zeros(&[n, co, ho, wo])
+    } else {
+        Tensor::uninit(&[n, co, ho, wo])
+    };
+    let wsrc = match pack {
+        Some(p) => MatSrc::Packed(p),
+        None => MatSrc::RowMajor {
+            data: w.data(),
+            stride: k,
+        },
+    };
+    let sink = relu.then(|| MaskSink::new(out.len()));
+    let epi = Epilogue::Rows {
+        bias,
+        relu: sink.as_ref(),
+    };
+    gemm_nchw(
+        &wsrc,
+        &MatSrc::Im2colT { x: x.data(), geom },
+        out.data_mut(),
+        co,
+        pixels,
+        k,
+        (ho * wo).max(1),
+        threads,
+        kern,
+        &epi,
+        prec::precision(),
+    );
+    (out, sink.map(MaskSink::into_mask))
 }
 
 /// Gradient of the loss with respect to the convolution input:
@@ -228,6 +325,24 @@ pub fn conv2d_fused_with(
 /// assert_eq!(dx.shape(), &[2, 3, 8, 8]); // gradient matches the input shape
 /// ```
 pub fn conv2d_backward_data(dy: &Tensor, w: &Tensor, x_shape: &[usize], cfg: Conv2dCfg) -> Tensor {
+    conv2d_backward_data_packed(dy, w, None, x_shape, cfg)
+}
+
+/// [`conv2d_backward_data`] reading the weights from `pack`, a
+/// [`pack_conv_backward_data`] of `w`, when given. Results are bitwise
+/// identical with or without the pack.
+///
+/// # Panics
+///
+/// On shape mismatches, and if `pack` was not built from a weight of
+/// `w`'s shape under the process kernel and precision.
+pub fn conv2d_backward_data_packed(
+    dy: &Tensor,
+    w: &Tensor,
+    pack: Option<&PackedOperand>,
+    x_shape: &[usize],
+    cfg: Conv2dCfg,
+) -> Tensor {
     let [n, ci, h, wd]: [usize; 4] = x_shape.try_into().expect("conv expects 4-D input shape");
     let co = w.shape()[0];
     let (ho, wo) = cfg.out_extent(h, wd);
@@ -235,11 +350,15 @@ pub fn conv2d_backward_data(dy: &Tensor, w: &Tensor, x_shape: &[usize], cfg: Con
     let cols_w = ci * cfg.kernel_h * cfg.kernel_w;
     let pixels = n * ho * wo;
     let mut dcols_t = arena::take(cols_w * pixels);
-    gemm(
-        &MatSrc::ColMajor {
+    let wsrc = match pack {
+        Some(p) => MatSrc::Packed(p),
+        None => MatSrc::ColMajor {
             data: w.data(),
             stride: cols_w,
         },
+    };
+    gemm(
+        &wsrc,
         &MatSrc::NchwCols {
             data: dy.data(),
             c: co,
@@ -324,10 +443,17 @@ pub fn conv2d_backward_weights(x: &Tensor, dy: &Tensor, cfg: Conv2dCfg) -> Tenso
             co,
             n * ho * wo,
         );
+        // [taps, co] → [co, taps] in cache-sized tiles: a row-at-a-time
+        // transpose strides one side by a whole row per element.
+        const TILE: usize = 32;
         let dwd = dw.data_mut();
-        for t in 0..cols_w {
-            for o in 0..co {
-                dwd[o * cols_w + t] = flat[t * co + o];
+        for t0 in (0..cols_w).step_by(TILE) {
+            for o0 in (0..co).step_by(TILE) {
+                for o in o0..(o0 + TILE).min(co) {
+                    for t in t0..(t0 + TILE).min(cols_w) {
+                        dwd[o * cols_w + t] = flat[t * co + o];
+                    }
+                }
             }
         }
         return dw;
@@ -345,71 +471,6 @@ pub fn conv2d_backward_weights(x: &Tensor, dy: &Tensor, cfg: Conv2dCfg) -> Tenso
         geom.rows(),
     );
     dw
-}
-
-/// `[n·h·w, c] → [n, c, h, w]` scatter into `out`.
-fn rows_to_nchw(flat: &[f32], n: usize, c: usize, h: usize, w: usize, out: &mut [f32]) {
-    assert_eq!(flat.len(), n * h * w * c, "row matrix size mismatch");
-    assert_eq!(out.len(), flat.len(), "output size mismatch");
-    let hw = h * w;
-    for ni in 0..n {
-        for ci in 0..c {
-            let dst = &mut out[(ni * c + ci) * hw..(ni * c + ci + 1) * hw];
-            let src_base = ni * hw * c + ci;
-            for (off, slot) in dst.iter_mut().enumerate() {
-                *slot = flat[src_base + off * c];
-            }
-        }
-    }
-}
-
-/// [`rows_to_nchw`] with a ReLU fused into the scatter's write: the
-/// transpose is the pass conv pays anyway, so clamping there (and
-/// recording the sign bits, in NCHW order, a word at a time) costs no
-/// extra traversal of the output.
-fn rows_to_nchw_relu(
-    flat: &[f32],
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    out: &mut [f32],
-) -> BitMask {
-    assert_eq!(flat.len(), n * h * w * c, "row matrix size mismatch");
-    assert_eq!(out.len(), flat.len(), "output size mismatch");
-    let hw = h * w;
-    let mut mask = BitMask::new(out.len());
-    let words = mask.words_mut();
-    for ni in 0..n {
-        for ci in 0..c {
-            let base = (ni * c + ci) * hw;
-            let dst = &mut out[base..base + hw];
-            let src_base = ni * hw * c + ci;
-            // The bit run [base, base + hw) is contiguous in NCHW order:
-            // accumulate sign bits a word at a time.
-            let mut wi = base / 64;
-            let mut cur = 0u64;
-            for (off, slot) in dst.iter_mut().enumerate() {
-                let v = flat[src_base + off * c];
-                let pos = base + off;
-                // Branchless clamp: keep = 1 selects v's bits, keep = 0
-                // yields +0.0 — identical to `if v > 0.0 { v } else { 0.0 }`
-                // (NaN compares false and clamps to 0).
-                let keep = u32::from(v > 0.0);
-                *slot = f32::from_bits(v.to_bits() & keep.wrapping_neg());
-                cur |= u64::from(keep) << (pos % 64);
-                if pos % 64 == 63 {
-                    words[wi] |= cur;
-                    cur = 0;
-                    wi += 1;
-                }
-            }
-            if cur != 0 {
-                words[wi] |= cur;
-            }
-        }
-    }
-    mask
 }
 
 #[cfg(test)]

@@ -81,18 +81,23 @@ pub struct MicroKernel {
     run_bf16: unsafe fn(kc: usize, a: *const u16, b: *const u16, acc: *mut f32),
     /// Fused C write-back for one register tile (same ISA as `run`); see
     /// [`MicroKernel::store_tile`].
-    store: unsafe fn(
-        acc: *const f32,
-        dst: *mut f32,
-        stride: usize,
-        i_hi: usize,
-        j_hi: usize,
-        bias: *const f32,
-        add: bool,
-        relu: bool,
-        bits: *mut u32,
-    ),
+    store: StoreFn,
 }
+
+/// A fused tile write-back body: `(acc, dst, stride, i_hi, j_hi, bias,
+/// bias_rows, add, relu, bits)`, as [`MicroKernel::store_tile`] documents.
+type StoreFn = unsafe fn(
+    acc: *const f32,
+    dst: *mut f32,
+    stride: usize,
+    i_hi: usize,
+    j_hi: usize,
+    bias: *const f32,
+    bias_rows: bool,
+    add: bool,
+    relu: bool,
+    bits: *mut u32,
+);
 
 impl MicroKernel {
     /// Runs the tile: `acc[i·nr + j] = Σ_p a[p·mr+i] · b[p·nr+j]`,
@@ -143,6 +148,10 @@ impl MicroKernel {
     /// bits[i] bit j     = (v > 0)            // when relu; 0 otherwise
     /// ```
     ///
+    /// With `bias_rows` the bias is one value per tile *row* (`+ bias[i]`,
+    /// broadcast across the row) — the conv forward, whose C rows are
+    /// output channels.
+    ///
     /// One indirect call covers the whole tile, so the bias vector and the
     /// edge-lane mask are loaded once and held in registers across up to
     /// `mr` rows. On AVX the sign bits come straight from the vector
@@ -156,7 +165,7 @@ impl MicroKernel {
     ///
     /// Panics if the tile exceeds `mr × nr`, `acc` is shorter than
     /// `i_hi·nr`, `dst` cannot hold the strided tile, or `bias` is shorter
-    /// than `j_hi`.
+    /// than `j_hi` (`i_hi` with `bias_rows`).
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn store_tile(
@@ -167,6 +176,7 @@ impl MicroKernel {
         i_hi: usize,
         j_hi: usize,
         bias: Option<&[f32]>,
+        bias_rows: bool,
         add: bool,
         relu: bool,
         bits: &mut [u32; MAX_MR],
@@ -182,7 +192,8 @@ impl MicroKernel {
         );
         let bias = match bias {
             Some(b) => {
-                assert!(b.len() >= j_hi, "bias row too short");
+                let need = if bias_rows { i_hi } else { j_hi };
+                assert!(b.len() >= need, "bias too short for the tile");
                 b.as_ptr()
             }
             None => std::ptr::null(),
@@ -196,6 +207,7 @@ impl MicroKernel {
                 i_hi,
                 j_hi,
                 bias,
+                bias_rows,
                 add,
                 relu,
                 bits.as_mut_ptr(),
@@ -552,11 +564,14 @@ unsafe fn store_tile_scalar(
     i_hi: usize,
     j_hi: usize,
     bias: *const f32,
+    bias_rows: bool,
     add: bool,
     relu: bool,
     bits: *mut u32,
 ) {
-    store_tile_generic(acc, 8, dst, stride, i_hi, j_hi, bias, add, relu, bits)
+    store_tile_generic(
+        acc, 8, dst, stride, i_hi, j_hi, bias, bias_rows, add, relu, bits,
+    )
 }
 
 /// The portable tile epilogue for an arbitrary accumulator row stride
@@ -570,6 +585,7 @@ unsafe fn store_tile_generic(
     i_hi: usize,
     j_hi: usize,
     bias: *const f32,
+    bias_rows: bool,
     add: bool,
     relu: bool,
     bits: *mut u32,
@@ -585,7 +601,7 @@ unsafe fn store_tile_generic(
                 *acc_row.add(j)
             };
             if !bias.is_null() {
-                v += *bias.add(j);
+                v += *bias.add(if bias_rows { i } else { j });
             }
             if relu {
                 if v > 0.0 {
@@ -620,6 +636,7 @@ unsafe fn store_tile_avx2(
     i_hi: usize,
     j_hi: usize,
     bias: *const f32,
+    bias_rows: bool,
     add: bool,
     relu: bool,
     bits: *mut u32,
@@ -633,7 +650,7 @@ unsafe fn store_tile_avx2(
     if j_hi == 8 {
         // Full-width tile: plain loads/stores (masked memory ops cost
         // extra µops even with an all-ones mask).
-        let bv = if with_bias {
+        let bv = if with_bias && !bias_rows {
             _mm256_loadu_ps(bias)
         } else {
             zero
@@ -645,7 +662,12 @@ unsafe fn store_tile_avx2(
                 v = _mm256_add_ps(_mm256_loadu_ps(dst_row), v);
             }
             if with_bias {
-                v = _mm256_add_ps(v, bv);
+                let b = if bias_rows {
+                    _mm256_set1_ps(*bias.add(i))
+                } else {
+                    bv
+                };
+                v = _mm256_add_ps(v, b);
             }
             let mut row_bits = 0u32;
             if relu {
@@ -662,7 +684,7 @@ unsafe fn store_tile_avx2(
         _mm256_set1_epi32(j_hi as i32),
         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
     );
-    let bv = if with_bias {
+    let bv = if with_bias && !bias_rows {
         _mm256_maskload_ps(bias, lanes)
     } else {
         zero
@@ -677,7 +699,12 @@ unsafe fn store_tile_avx2(
             v = _mm256_add_ps(_mm256_maskload_ps(dst_row, lanes), v);
         }
         if with_bias {
-            v = _mm256_add_ps(v, bv);
+            let b = if bias_rows {
+                _mm256_set1_ps(*bias.add(i))
+            } else {
+                bv
+            };
+            v = _mm256_add_ps(v, b);
         }
         let mut row_bits = 0u32;
         if relu {
@@ -709,6 +736,7 @@ unsafe fn store_tile_avx512(
     i_hi: usize,
     j_hi: usize,
     bias: *const f32,
+    bias_rows: bool,
     add: bool,
     relu: bool,
     bits: *mut u32,
@@ -722,7 +750,7 @@ unsafe fn store_tile_avx512(
         // Full-width tile (the common case on interior panels): plain
         // loads/stores — masked memory ops cost extra µops even with an
         // all-ones mask.
-        let bv = if with_bias {
+        let bv = if with_bias && !bias_rows {
             _mm512_loadu_ps(bias)
         } else {
             zero
@@ -734,7 +762,12 @@ unsafe fn store_tile_avx512(
                 v = _mm512_add_ps(_mm512_loadu_ps(dst_row), v);
             }
             if with_bias {
-                v = _mm512_add_ps(v, bv);
+                let b = if bias_rows {
+                    _mm512_set1_ps(*bias.add(i))
+                } else {
+                    bv
+                };
+                v = _mm512_add_ps(v, b);
             }
             let mut row_bits = 0u32;
             if relu {
@@ -748,7 +781,7 @@ unsafe fn store_tile_avx512(
         return;
     }
     let m: __mmask16 = ((1u32 << j_hi) - 1) as __mmask16;
-    let bv = if with_bias {
+    let bv = if with_bias && !bias_rows {
         _mm512_maskz_loadu_ps(m, bias)
     } else {
         zero
@@ -760,7 +793,12 @@ unsafe fn store_tile_avx512(
             v = _mm512_add_ps(_mm512_maskz_loadu_ps(m, dst_row), v);
         }
         if with_bias {
-            v = _mm512_add_ps(v, bv);
+            let b = if bias_rows {
+                _mm512_set1_ps(*bias.add(i))
+            } else {
+                bv
+            };
+            v = _mm512_add_ps(v, b);
         }
         let mut row_bits = 0u32;
         if relu {
@@ -868,7 +906,8 @@ mod tests {
             for i_hi in [0usize, 1, kern.mr - 1, kern.mr] {
                 for j_hi in [0usize, 1, 3, kern.nr - 1, kern.nr] {
                     for add in [false, true] {
-                        for with_bias in [false, true] {
+                        for (with_bias, bias_rows) in [(false, false), (true, false), (true, true)]
+                        {
                             for relu in [false, true] {
                                 let mut acc: Vec<f32> = (0..kern.mr * kern.nr)
                                     .map(|j| ((j * 13) % 7) as f32 - 3.0)
@@ -878,8 +917,9 @@ mod tests {
                                     acc[0] = f32::NAN;
                                     acc[mid] = -0.0;
                                 }
-                                let bias: Vec<f32> =
-                                    (0..kern.nr).map(|j| ((j * 5) % 3) as f32 - 1.0).collect();
+                                let bias: Vec<f32> = (0..kern.mr.max(kern.nr))
+                                    .map(|j| ((j * 5) % 3) as f32 - 1.0)
+                                    .collect();
                                 let init: Vec<f32> = (0..kern.mr * stride)
                                     .map(|j| j as f32 / 2.0 - 1.0)
                                     .collect();
@@ -900,6 +940,7 @@ mod tests {
                                         i_hi,
                                         j_hi,
                                         bias_ptr,
+                                        bias_rows,
                                         add,
                                         relu,
                                         want_bits.as_mut_ptr(),
@@ -914,6 +955,7 @@ mod tests {
                                     i_hi,
                                     j_hi,
                                     if with_bias { Some(&bias[..]) } else { None },
+                                    bias_rows,
                                     add,
                                     relu,
                                     &mut got_bits,
@@ -922,7 +964,7 @@ mod tests {
                                 let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
                                 assert_eq!(
                                     gb, wb,
-                                    "{} i_hi={i_hi} j_hi={j_hi} add={add} bias={with_bias} relu={relu}",
+                                    "{} i_hi={i_hi} j_hi={j_hi} add={add} bias={with_bias} rows={bias_rows} relu={relu}",
                                     kern.name
                                 );
                                 assert_eq!(

@@ -17,17 +17,23 @@
 //!
 //! Operands are described by [`MatSrc`], which abstracts *where elements
 //! come from*: a row-major or column-major matrix in memory, an NCHW
-//! feature map viewed as a `[pixels × channels]` matrix, or a **virtual
-//! im2col matrix** generated straight from the convolution input. The last
-//! one is the fusion that makes `conv2d`/`conv2d_backward_weights` stream
-//! receptive-field tiles directly into the packing buffers instead of
-//! materializing the full `[n·ho·wo, ci·kh·kw]` lowering (the dominant
-//! memory cost the paper's data-reuse argument targets).
+//! feature map viewed as a `[pixels × channels]` matrix, a **virtual
+//! im2col matrix** (or its transpose) generated straight from the
+//! convolution input, or a [`PackedOperand`] packed ahead of time. The
+//! virtual im2col is the fusion that makes `conv2d`/`conv2d_backward_weights`
+//! stream receptive-field tiles directly into the packing buffers instead
+//! of materializing the full `[n·ho·wo, ci·kh·kw]` lowering (the dominant
+//! memory cost the paper's data-reuse argument targets); the prepacked
+//! operand lets a conv layer pack its weights once per update instead of
+//! once per MBS sub-batch.
+//!
+//! C is row-major, except for the conv forward, whose `[channels ×
+//! batch·pixels]` product is written straight into the NCHW output.
 //!
 //! # Threading, the shared B panel, and determinism
 //!
 //! Row blocks are distributed contiguously over scoped threads
-//! (`std::thread::scope`); each thread owns a disjoint slice of C rows and
+//! (`std::thread::scope`); each thread owns a disjoint set of C rows and
 //! packs its own A strips. The packed **B panel is shared**: for every
 //! `(KC, NC)` panel the workers pack disjoint strip ranges of one
 //! arena-backed buffer, meet at a [`Barrier`], and then all read the same
@@ -96,8 +102,43 @@ pub enum Epilogue<'a> {
     Bias(&'a [f32]),
     /// Bias, then ReLU. The clamp happens in the C store and the 1-bit
     /// sign mask (paper §3 "Back Propagation") is emitted by the same
-    /// vector compare, in C's row-major element order.
+    /// vector compare, in C's memory order.
     BiasRelu(&'a [f32], &'a MaskSink),
+    /// An optional per-**row** bias (`C[i][j] += bias[i]`), then an
+    /// optional ReLU with its sign mask — the conv forward's epilogue,
+    /// whose C rows are output channels.
+    Rows {
+        /// One value per C row, if any.
+        bias: Option<&'a [f32]>,
+        /// Sign-mask sink of the fused ReLU, if any.
+        relu: Option<&'a MaskSink>,
+    },
+}
+
+impl<'a> Epilogue<'a> {
+    /// The post-op the write-back applies, or `None` for a plain store.
+    fn post(&self) -> Option<Post<'a>> {
+        let (bias, bias_rows, relu) = match *self {
+            Epilogue::None => return None,
+            Epilogue::Bias(b) => (Some(b), false, None),
+            Epilogue::BiasRelu(b, sink) => (Some(b), false, Some(sink)),
+            Epilogue::Rows { bias, relu } => (bias, true, relu),
+        };
+        (bias.is_some() || relu.is_some()).then_some(Post {
+            bias,
+            bias_rows,
+            relu,
+        })
+    }
+}
+
+/// An [`Epilogue`] in the form the write-back consumes.
+#[derive(Clone, Copy)]
+struct Post<'a> {
+    bias: Option<&'a [f32]>,
+    /// Whether `bias` is indexed by C row (else by C column).
+    bias_rows: bool,
+    relu: Option<&'a MaskSink>,
 }
 
 /// Whether fused epilogues are enabled: the `MBS_FUSE` environment knob,
@@ -143,6 +184,10 @@ trait PackElem: Copy + Send + Sync + 'static {
     fn pack_from(dst: &mut [Self], src: &[f32]);
     /// Runs the micro-kernel tile body for this element type.
     fn run_tile(kern: &MicroKernel, kc: usize, a: &[Self], b: &[Self], acc: &mut [f32]);
+    /// Wraps packed strips as prepacked-operand storage.
+    fn store(data: Vec<Self>) -> PackedData;
+    /// The prepacked strips, if `data` holds this element type.
+    fn strips(data: &PackedData) -> Option<&[Self]>;
 }
 
 impl PackElem for f32 {
@@ -162,6 +207,17 @@ impl PackElem for f32 {
     fn run_tile(kern: &MicroKernel, kc: usize, a: &[Self], b: &[Self], acc: &mut [f32]) {
         kern.run(kc, a, b, acc);
     }
+
+    fn store(data: Vec<Self>) -> PackedData {
+        PackedData::F32(data)
+    }
+
+    fn strips(data: &PackedData) -> Option<&[Self]> {
+        match data {
+            PackedData::F32(v) => Some(v),
+            PackedData::Bf16(_) => None,
+        }
+    }
 }
 
 impl PackElem for u16 {
@@ -180,6 +236,179 @@ impl PackElem for u16 {
     #[inline(always)]
     fn run_tile(kern: &MicroKernel, kc: usize, a: &[Self], b: &[Self], acc: &mut [f32]) {
         kern.run_bf16(kc, a, b, acc);
+    }
+
+    fn store(data: Vec<Self>) -> PackedData {
+        PackedData::Bf16(data)
+    }
+
+    fn strips(data: &PackedData) -> Option<&[Self]> {
+        match data {
+            PackedData::Bf16(v) => Some(v),
+            PackedData::F32(_) => None,
+        }
+    }
+}
+
+/// Storage of a [`PackedOperand`], in its packing precision.
+#[derive(Debug, Clone)]
+enum PackedData {
+    F32(Vec<f32>),
+    Bf16(Vec<u16>),
+}
+
+/// A GEMM operand packed once, ahead of time, into exactly the strips the
+/// blocked core would otherwise pack on the fly for every call (same
+/// bytes: it is built by the same packing loops). Pass it as
+/// [`MatSrc::Packed`] on either side; the GEMM then reads its panels in
+/// place, and a prepacked B needs neither the shared-panel packing nor its
+/// barriers. A conv layer packs its weights this way once per optimizer
+/// step instead of once per MBS sub-batch.
+///
+/// The strips are laid out panel-major: depth panel `pc` (every
+/// `KC`-deep slice) holds all strips of the non-depth dimension, each
+/// `kc × width` elements. A pack is tied to the tile width and the
+/// precision it was built for; the GEMM asserts both match.
+#[derive(Debug, Clone)]
+pub struct PackedOperand {
+    data: PackedData,
+    /// Extent of the non-depth dimension: A rows or B columns.
+    len: usize,
+    /// Reduction depth `k`.
+    depth: usize,
+    /// Strip width: the kernel's `mr` (A) or `nr` (B).
+    width: usize,
+}
+
+impl PackedOperand {
+    /// Packs the `m × k` A operand `src` for the process-wide kernel and
+    /// precision.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is smaller than `m × k` or is itself prepacked.
+    pub fn a(src: &MatSrc<'_>, m: usize, k: usize) -> Self {
+        Self::a_with(src, m, k, kernel::selected(), prec::precision())
+    }
+
+    /// [`PackedOperand::a`] for an explicit kernel and precision.
+    ///
+    /// # Panics
+    ///
+    /// As for [`PackedOperand::a`].
+    pub fn a_with(
+        src: &MatSrc<'_>,
+        m: usize,
+        k: usize,
+        kern: &MicroKernel,
+        precision: Precision,
+    ) -> Self {
+        if m > 0 && k > 0 {
+            check_extent(src, m, k, "A");
+        }
+        Self::build(src, true, m, k, kern.mr, precision)
+    }
+
+    /// Packs the `k × n` B operand `src` for an explicit kernel and
+    /// precision.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is smaller than `k × n` or is itself prepacked.
+    pub fn b_with(
+        src: &MatSrc<'_>,
+        k: usize,
+        n: usize,
+        kern: &MicroKernel,
+        precision: Precision,
+    ) -> Self {
+        if n > 0 && k > 0 {
+            check_extent(src, k, n, "B");
+        }
+        Self::build(src, false, n, k, kern.nr, precision)
+    }
+
+    /// Runs the on-the-fly packing loop (`pack_a` for an A operand, else
+    /// `pack_b`) over every depth panel of the whole operand.
+    fn build(
+        src: &MatSrc<'_>,
+        is_a: bool,
+        len: usize,
+        depth: usize,
+        width: usize,
+        precision: Precision,
+    ) -> Self {
+        fn fill<E: PackElem>(
+            src: &MatSrc<'_>,
+            is_a: bool,
+            len: usize,
+            depth: usize,
+            width: usize,
+        ) -> PackedData {
+            let padded = len.div_ceil(width) * width;
+            let mut data = vec![E::ZERO; padded * depth];
+            for pc in (0..depth).step_by(KC) {
+                let kc = KC.min(depth - pc);
+                let panel = &mut data[pc * padded..(pc + kc) * padded];
+                if is_a {
+                    pack_a(src, panel, 0, len, pc, kc, width);
+                } else {
+                    pack_b(src, panel, pc, kc, 0, len, width);
+                }
+            }
+            E::store(data)
+        }
+        let data = match precision {
+            Precision::F32 => fill::<f32>(src, is_a, len, depth, width),
+            Precision::Bf16 => fill::<u16>(src, is_a, len, depth, width),
+        };
+        Self {
+            data,
+            len,
+            depth,
+            width,
+        }
+    }
+
+    /// The precision the strips are encoded in.
+    fn precision(&self) -> Precision {
+        match self.data {
+            PackedData::F32(_) => Precision::F32,
+            PackedData::Bf16(_) => Precision::Bf16,
+        }
+    }
+
+    /// Panics unless this pack serves a `len × depth` operand on a
+    /// `width`-wide tile at `precision` (checked on the calling thread,
+    /// before any worker starts).
+    fn check(&self, len: usize, depth: usize, width: usize, precision: Precision, which: &str) {
+        assert_eq!(
+            (self.len, self.depth),
+            (len, depth),
+            "{which} prepacked operand has extent {}×{} (strips × depth), GEMM wants {len}×{depth}",
+            self.len,
+            self.depth
+        );
+        assert_eq!(
+            self.width, width,
+            "{which} prepacked operand was packed for a {}-wide tile, the kernel's is {width}",
+            self.width
+        );
+        assert_eq!(
+            self.precision(),
+            precision,
+            "{which} prepacked operand precision differs from the GEMM's"
+        );
+    }
+
+    /// The `count` strips starting at non-depth index `first` (a multiple
+    /// of the width) of the depth panel that starts at `pc` and is `kc`
+    /// deep — exactly what on-the-fly packing would have produced there.
+    fn panel<E: PackElem>(&self, pc: usize, first: usize, count: usize, kc: usize) -> &[E] {
+        let padded = self.len.div_ceil(self.width) * self.width;
+        let start = pc * padded + first / self.width * kc * self.width;
+        let strips = E::strips(&self.data).expect("pack precision checked up front");
+        &strips[start..start + count * kc * self.width]
     }
 }
 
@@ -332,6 +561,18 @@ pub enum MatSrc<'a> {
         /// Lowering geometry.
         geom: Im2colGeom,
     },
+    /// The transpose of [`MatSrc::Im2col`]: row `r` is filter tap `r`,
+    /// column `c` is output pixel `c` — the B operand of the conv forward
+    /// `y = W · cols(x)ᵀ`, whose C rows are output channels.
+    Im2colT {
+        /// The convolution input `[n, ci, h, w]`.
+        x: &'a [f32],
+        /// Lowering geometry.
+        geom: Im2colGeom,
+    },
+    /// An operand packed ahead of time (see [`PackedOperand`]); read in
+    /// place instead of packed per call.
+    Packed(&'a PackedOperand),
 }
 
 /// `C[m×n] = A[m×k] · B[k×n]` with the process-default thread count and
@@ -467,17 +708,86 @@ pub fn gemm_fused_prec(
     epi: &Epilogue<'_>,
     precision: Precision,
 ) {
+    gemm_core(
+        a,
+        b,
+        c,
+        m,
+        n,
+        k,
+        threads,
+        kern,
+        epi,
+        precision,
+        CLayout::RowMajor,
+    );
+}
+
+/// [`gemm_fused_prec`] writing C, an `[m × batch·hw]` product whose rows
+/// are channels, straight into the NCHW map `c = [batch, m, hw]` — the
+/// conv forward's output, with no transpose pass. Mask bits of a fused
+/// ReLU land in the same (NCHW) order.
+///
+/// # Panics
+///
+/// As for [`gemm_fused`], and if `hw` is zero or does not divide `n`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_nchw(
+    a: &MatSrc<'_>,
+    b: &MatSrc<'_>,
+    c: &mut [f32],
+    m: usize,
+    n: usize,
+    k: usize,
+    hw: usize,
+    threads: usize,
+    kern: &MicroKernel,
+    epi: &Epilogue<'_>,
+    precision: Precision,
+) {
+    assert!(
+        hw > 0 && n.is_multiple_of(hw),
+        "NCHW output: hw must divide n"
+    );
+    gemm_core(
+        a,
+        b,
+        c,
+        m,
+        n,
+        k,
+        threads,
+        kern,
+        epi,
+        precision,
+        CLayout::Nchw { hw },
+    );
+}
+
+#[allow(clippy::too_many_arguments)]
+fn gemm_core(
+    a: &MatSrc<'_>,
+    b: &MatSrc<'_>,
+    c: &mut [f32],
+    m: usize,
+    n: usize,
+    k: usize,
+    threads: usize,
+    kern: &MicroKernel,
+    epi: &Epilogue<'_>,
+    precision: Precision,
+    layout: CLayout,
+) {
     assert_eq!(c.len(), m * n, "output buffer must be m·n");
-    match *epi {
-        Epilogue::None => {}
-        Epilogue::Bias(bias) => {
-            assert!(bias.len() >= n, "epilogue bias shorter than n");
-            assert!(k > 0, "a fused epilogue needs a non-empty reduction");
+    let post = epi.post();
+    if let Some(post) = post {
+        assert!(k > 0, "a fused epilogue needs a non-empty reduction");
+        if let Some(bias) = post.bias {
+            let need = if post.bias_rows { m } else { n };
+            assert!(bias.len() >= need, "epilogue bias shorter than C's extent");
         }
-        Epilogue::BiasRelu(bias, mask) => {
-            assert!(bias.len() >= n, "epilogue bias shorter than n");
+        if let Some(mask) = post.relu {
             assert_eq!(mask.len(), m * n, "epilogue mask must cover C");
-            assert!(k > 0, "a fused epilogue needs a non-empty reduction");
         }
     }
     if m == 0 || n == 0 || k == 0 {
@@ -486,16 +796,106 @@ pub fn gemm_fused_prec(
     // Validate operand extents up-front, on the calling thread: a panic
     // inside a spawned worker would leave its siblings waiting forever on
     // the shared-panel barrier instead of propagating.
-    check_extent(a, m, k, "A");
-    check_extent(b, k, n, "B");
+    match a {
+        MatSrc::Packed(p) => p.check(m, k, kern.mr, precision, "A"),
+        _ => check_extent(a, m, k, "A"),
+    }
+    match b {
+        MatSrc::Packed(p) => p.check(n, k, kern.nr, precision, "B"),
+        _ => check_extent(b, k, n, "B"),
+    }
     // Hard asserts (not debug): a non-dividing tile would mis-slice the
     // packing buffers inside a worker thread, and a worker panic strands
     // its siblings at the shared-panel barrier. One comparison per call.
     assert_eq!(MC % kern.mr, 0, "MC must be a multiple of the tile mr");
     assert_eq!(NC % kern.nr, 0, "NC must be a multiple of the tile nr");
+    let out = COut {
+        ptr: c.as_mut_ptr(),
+        len: c.len(),
+        m,
+        n,
+        layout,
+    };
     match precision {
-        Precision::F32 => run_shared::<f32>(a, b, c, m, n, k, threads, kern, epi),
-        Precision::Bf16 => run_shared::<u16>(a, b, c, m, n, k, threads, kern, epi),
+        Precision::F32 => run_shared::<f32>(a, b, &out, m, n, k, threads, kern, post.as_ref()),
+        Precision::Bf16 => run_shared::<u16>(a, b, &out, m, n, k, threads, kern, post.as_ref()),
+    }
+}
+
+/// Where C's logical `(i, j)` lives in the output buffer.
+#[derive(Debug, Clone, Copy)]
+enum CLayout {
+    /// `c[i·n + j]`.
+    RowMajor,
+    /// C is `[m channels × batch·hw pixels]` stored as the NCHW map
+    /// `[batch, m, hw]`: `(i, j) → ((j / hw)·m + i)·hw + j % hw` — the map
+    /// [`MatSrc::NchwCols`] reads.
+    Nchw { hw: usize },
+}
+
+/// Raw view of C shared by the GEMM workers. Each worker writes only its
+/// own rows, and distinct `(i, j)` map to distinct addresses under either
+/// layout, so no two workers' writes ever alias. Under both layouts
+/// `(i, j)` sits at `i·ldc + col_addr(j)`, with `col_addr` contiguous
+/// within a row run (all of C for row-major, one sample for NCHW).
+struct COut {
+    ptr: *mut f32,
+    len: usize,
+    m: usize,
+    n: usize,
+    layout: CLayout,
+}
+
+// SAFETY: the raw pointer is only dereferenced through `tile_mut`, whose
+// callers own the rows they touch (see the struct docs).
+unsafe impl Sync for COut {}
+
+impl COut {
+    /// Distance between rows `i` and `i + 1` of one column.
+    fn ldc(&self) -> usize {
+        match self.layout {
+            CLayout::RowMajor => self.n,
+            CLayout::Nchw { hw } => hw,
+        }
+    }
+
+    /// Address of `(0, j)`.
+    fn col_addr(&self, j: usize) -> usize {
+        match self.layout {
+            CLayout::RowMajor => j,
+            CLayout::Nchw { hw } => j / hw * self.m * hw + j % hw,
+        }
+    }
+
+    /// How many of the `want` columns from `j` on are contiguous in
+    /// memory: all of them row-major, those up to the sample's end in
+    /// NCHW (a tile that straddles two samples writes in two runs).
+    fn run_len(&self, j: usize, want: usize) -> usize {
+        match self.layout {
+            CLayout::RowMajor => want,
+            CLayout::Nchw { hw } => want.min(hw - j % hw),
+        }
+    }
+
+    /// The strided `rows × lanes` tile at `(i, j)` (lanes within one run),
+    /// as a slice starting at that element, and the element's offset in C.
+    ///
+    /// # Safety
+    ///
+    /// The caller must own C rows `[i, i + rows)` and hold no other view of
+    /// them while the returned slice lives.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn tile_mut(
+        &self,
+        i: usize,
+        j: usize,
+        rows: usize,
+        lanes: usize,
+    ) -> (&mut [f32], usize) {
+        let off = i * self.ldc() + self.col_addr(j);
+        let len = (rows - 1) * self.ldc() + lanes;
+        assert!(off + len <= self.len, "C tile out of bounds");
+        (std::slice::from_raw_parts_mut(self.ptr.add(off), len), off)
     }
 }
 
@@ -528,6 +928,10 @@ fn check_extent(src: &MatSrc<'_>, rows: usize, cols: usize, which: &str) {
             );
             (x.len(), geom.n * geom.ci * geom.h * geom.w)
         }
+        MatSrc::Im2colT { x, geom } => {
+            return check_extent(&MatSrc::Im2col { x, geom }, cols, rows, which);
+        }
+        MatSrc::Packed(_) => panic!("{which}: a prepacked operand cannot be packed again"),
     };
     assert!(
         len >= need,
@@ -583,115 +987,124 @@ impl<E: PackElem> SharedPanel<E> {
 fn run_shared<E: PackElem>(
     a: &MatSrc<'_>,
     b: &MatSrc<'_>,
-    c: &mut [f32],
+    out: &COut,
     m: usize,
     n: usize,
     k: usize,
     threads: usize,
     kern: &MicroKernel,
-    epi: &Epilogue<'_>,
+    post: Option<&Post<'_>>,
 ) {
     let blocks = m.div_ceil(MC);
-    // The barrier size must equal the spawned worker count: both come
-    // from the same `chunk_workers` clamp (`scoped_chunks` applies it
-    // idempotently to the value we pass).
+    // The barrier size must equal the worker count: both come from the
+    // same `chunk_workers` clamp.
     let workers = chunk_workers(blocks, threads);
-    let mut b_buf = ElemBuf::<E>::take(KC * NC);
+    // A prepacked B is read in place: no shared panel to fill.
+    let mut b_buf = (!matches!(b, MatSrc::Packed(_))).then(|| ElemBuf::<E>::take(KC * NC));
     let shared = SharedPanel {
-        ptr: b_buf.as_mut_ptr(),
+        ptr: b_buf
+            .as_mut()
+            .map_or(std::ptr::null_mut(), |buf| buf.as_mut_ptr()),
         len: KC * NC,
     };
     let barrier = Barrier::new(workers);
-    scoped_chunks(c, MC * n, blocks, workers, |t, first_block, chunk| {
+    let work = |t: usize| {
+        let own = share(blocks, workers, t);
+        let r0 = own.start * MC;
+        let rows = (own.end * MC).min(m) - r0;
         shared_worker(
-            a,
-            b,
-            chunk,
-            first_block * MC,
-            n,
-            k,
-            t,
-            workers,
-            kern,
-            epi,
-            &shared,
-            &barrier,
+            a, b, out, r0, rows, n, k, t, workers, kern, post, &shared, &barrier,
         );
-    });
-    // `b_buf` outlives every worker's panel view (the scope inside
-    // `scoped_chunks` joins them) before the buffer returns to the arena.
+    };
+    if workers == 1 {
+        work(0);
+    } else {
+        std::thread::scope(|scope| {
+            for t in 0..workers {
+                let work = &work;
+                scope.spawn(move || work(t));
+            }
+        });
+    }
+    // `b_buf` outlives every worker's panel view (the scope joins them)
+    // before the buffer returns to the arena.
     drop(b_buf);
 }
 
 /// One worker of the shared-panel schedule: packs its strip share of B,
 /// waits for the panel to be complete, then computes its own C rows
-/// (packing its own A strips). Every worker executes the same `(jc, pc)`
-/// loop so the two barriers per panel always pair up across threads.
+/// `[r0, r0 + rows)` (packing its own A strips unless A is prepacked).
+/// Every worker executes the same `(jc, pc)` loop so the two barriers per
+/// panel always pair up across threads; a prepacked B skips both.
 #[allow(clippy::too_many_arguments)]
 fn shared_worker<E: PackElem>(
     a: &MatSrc<'_>,
     b: &MatSrc<'_>,
-    c_rows: &mut [f32],
+    out: &COut,
     r0: usize,
+    rows: usize,
     n: usize,
     k: usize,
     t: usize,
     threads: usize,
     kern: &MicroKernel,
-    epi: &Epilogue<'_>,
+    post: Option<&Post<'_>>,
     shared: &SharedPanel<E>,
     barrier: &Barrier,
 ) {
     let nr = kern.nr;
-    let rows = c_rows.len() / n;
-    let mut a_buf = ElemBuf::<E>::take(MC * KC);
+    let mut a_buf = (!matches!(a, MatSrc::Packed(_))).then(|| ElemBuf::<E>::take(MC * KC));
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         let strips = nc.div_ceil(nr);
         // This worker's contiguous strip share of the panel. The packed
         // bytes are a pure function of (B, jc, pc), not of which worker
         // writes them, so the shared panel preserves bitwise determinism.
-        let s_per = strips / threads;
-        let s_extra = strips % threads;
-        let s_lo = t * s_per + t.min(s_extra);
-        let s_hi = s_lo + s_per + usize::from(t < s_extra);
+        let mine = share(strips, threads, t);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            if s_hi > s_lo {
-                // SAFETY: strip ranges are disjoint across workers, and no
-                // worker reads the panel before the barrier below.
-                let my = unsafe { shared.strips_mut(s_lo * kc * nr, (s_hi - s_lo) * kc * nr) };
-                let nc_local = (nc - s_lo * nr).min((s_hi - s_lo) * nr);
-                pack_b(b, my, pc, kc, jc + s_lo * nr, nc_local, nr);
-            }
-            barrier.wait();
-            // SAFETY: every write to the panel happened before the barrier
-            // (which orders them), and nobody writes again until the
-            // end-of-panel barrier.
-            let b_panel = unsafe { shared.panel(strips * kc * nr) };
             let last_kpanel = pc + kc == k;
+            let b_panel: &[E] = match b {
+                MatSrc::Packed(p) => p.panel(pc, jc, strips, kc),
+                _ => {
+                    if !mine.is_empty() {
+                        // SAFETY: strip ranges are disjoint across workers,
+                        // and no worker reads the panel before the barrier
+                        // below.
+                        let my = unsafe {
+                            shared.strips_mut(mine.start * kc * nr, mine.len() * kc * nr)
+                        };
+                        let nc_local = (nc - mine.start * nr).min(mine.len() * nr);
+                        pack_b(b, my, pc, kc, jc + mine.start * nr, nc_local, nr);
+                    }
+                    barrier.wait();
+                    // SAFETY: every write to the panel happened before the
+                    // barrier (which orders them), and nobody writes again
+                    // until the end-of-panel barrier.
+                    unsafe { shared.panel(strips * kc * nr) }
+                }
+            };
             compute_block(
                 a,
                 b_panel,
-                c_rows,
+                out,
                 r0,
                 rows,
-                n,
                 jc,
                 nc,
                 pc,
                 kc,
                 last_kpanel,
                 kern,
-                epi,
-                a_buf.as_mut_slice(),
+                post,
+                a_buf.as_mut(),
             );
             // The panel buffer is reused for the next (jc, pc) block; no
             // worker may repack while another still reads. The last panel
             // has no successor, so its drain barrier is skipped (the
             // thread-scope join provides the final synchronization).
             let last_panel = jc + NC >= n && pc + KC >= k;
-            if !last_panel {
+            if !last_panel && !matches!(b, MatSrc::Packed(_)) {
                 barrier.wait();
             }
         }
@@ -699,116 +1112,187 @@ fn shared_worker<E: PackElem>(
 }
 
 /// Computes C rows `[r0, r0 + rows)` of one `(jc, pc)` panel given its
-/// packed B, packing A strips on the fly. `c_rows` is the `rows × n` slice
-/// owned by the calling worker. On the last depth panel (`last_kpanel`)
-/// the epilogue — bias add, ReLU clamp, sign-mask emission — is folded
-/// into the same store that writes the final sums, so no later pass ever
-/// re-reads C.
+/// packed B, packing A strips on the fly (or reading them from a
+/// prepacked A). On the last depth panel (`last_kpanel`) the epilogue —
+/// bias add, ReLU clamp, sign-mask emission — is folded into the same
+/// store that writes the final sums, so no later pass ever re-reads C.
 #[allow(clippy::too_many_arguments)]
 fn compute_block<E: PackElem>(
     a: &MatSrc<'_>,
     b_panel: &[E],
-    c_rows: &mut [f32],
+    out: &COut,
     r0: usize,
     rows: usize,
-    n: usize,
     jc: usize,
     nc: usize,
     pc: usize,
     kc: usize,
     last_kpanel: bool,
     kern: &MicroKernel,
-    epi: &Epilogue<'_>,
-    a_buf: &mut [E],
+    post: Option<&Post<'_>>,
+    mut a_buf: Option<&mut ElemBuf<E>>,
 ) {
     let (mr, nr) = (kern.mr, kern.nr);
     // The first depth panel *stores* its tile into C, later panels
     // accumulate — so callers never pre-zero C and the store pass skips
     // C's read traffic.
     let first_panel = pc == 0;
-    let fused = last_kpanel && !matches!(epi, Epilogue::None);
+    let post = post.filter(|_| last_kpanel);
     let nr_strips = nc.div_ceil(nr);
-    let mut acc = [0.0f32; MAX_MR * MAX_NR];
+    // One spare row: a write-back run that starts mid-tile reads its
+    // full-width accumulator rows from `acc[lane..]`.
+    let mut acc = [0.0f32; MAX_MR * MAX_NR + MAX_NR];
     for ic in (0..rows).step_by(MC) {
         let mc = MC.min(rows - ic);
-        pack_a(a, a_buf, r0 + ic, mc, pc, kc, mr);
         let mr_strips = mc.div_ceil(mr);
+        let a_panel: &[E] = match (a, a_buf.as_deref_mut()) {
+            (MatSrc::Packed(p), _) => p.panel(pc, r0 + ic, mr_strips, kc),
+            (_, Some(buf)) => {
+                let buf = buf.as_mut_slice();
+                pack_a(a, buf, r0 + ic, mc, pc, kc, mr);
+                buf
+            }
+            (_, None) => unreachable!("an unpacked A always has a packing buffer"),
+        };
         for js in 0..nr_strips {
             let b_strip = &b_panel[js * kc * nr..(js + 1) * kc * nr];
             let j_hi = nr.min(nc - js * nr);
             let j0 = jc + js * nr;
             for is in 0..mr_strips {
-                let a_strip = &a_buf[is * kc * mr..(is + 1) * kc * mr];
+                let a_strip = &a_panel[is * kc * mr..(is + 1) * kc * mr];
                 let i_hi = mr.min(mc - is * mr);
                 E::run_tile(kern, kc, a_strip, b_strip, &mut acc);
-                let row0 = ic + is * mr;
-                if fused {
-                    match *epi {
-                        Epilogue::None => unreachable!("fused implies a post-op"),
-                        Epilogue::Bias(bias) => {
-                            // Bias-only fuses as an inline write-back loop:
-                            // an indirect SIMD store call costs more than
-                            // the one extra add this epilogue needs.
-                            let bias_row = &bias[j0..j0 + j_hi];
-                            for i in 0..i_hi {
-                                let acc_row = &acc[i * nr..i * nr + j_hi];
-                                let off = (row0 + i) * n + j0;
-                                let c_row = &mut c_rows[off..off + j_hi];
-                                if first_panel {
-                                    for ((cv, av), bv) in
-                                        c_row.iter_mut().zip(acc_row).zip(bias_row)
-                                    {
-                                        *cv = av + bv;
-                                    }
-                                } else {
-                                    for ((cv, av), bv) in
-                                        c_row.iter_mut().zip(acc_row).zip(bias_row)
-                                    {
-                                        *cv = *cv + av + bv;
-                                    }
-                                }
+                let row0 = r0 + ic + is * mr;
+                let mut lane = 0;
+                while lane < j_hi {
+                    let run = out.run_len(j0 + lane, j_hi - lane);
+                    // SAFETY: this worker owns C rows [r0, r0 + rows), which
+                    // contain the tile's rows, and the view dies this turn.
+                    let (dst, off) = unsafe { out.tile_mut(row0, j0 + lane, i_hi, run) };
+                    let tile = Tile {
+                        acc: &acc[lane..],
+                        nr,
+                        dst,
+                        ldc: out.ldc(),
+                        rows: i_hi,
+                        lanes: run,
+                        add: !first_panel,
+                    };
+                    match post {
+                        None => tile.store(),
+                        Some(post) => tile.store_post(kern, post, row0, j0 + lane, off),
+                    }
+                    lane += run;
+                }
+            }
+        }
+    }
+}
+
+/// One contiguous write-back run of a register tile: `rows × lanes`
+/// accumulator values (row stride `nr`) into C (row stride `ldc`).
+struct Tile<'t> {
+    acc: &'t [f32],
+    nr: usize,
+    dst: &'t mut [f32],
+    ldc: usize,
+    rows: usize,
+    lanes: usize,
+    /// Accumulate into C (every depth panel but the first).
+    add: bool,
+}
+
+impl Tile<'_> {
+    /// Plain store / accumulate.
+    fn store(self) {
+        for i in 0..self.rows {
+            let acc_row = &self.acc[i * self.nr..i * self.nr + self.lanes];
+            let c_row = &mut self.dst[i * self.ldc..i * self.ldc + self.lanes];
+            if self.add {
+                for (cv, av) in c_row.iter_mut().zip(acc_row) {
+                    *cv += av;
+                }
+            } else {
+                c_row.copy_from_slice(acc_row);
+            }
+        }
+    }
+
+    /// The last depth panel's store with the epilogue folded in; the tile
+    /// starts at C element `(row0, col)`, which is `off` in memory.
+    fn store_post(self, kern: &MicroKernel, post: &Post<'_>, row0: usize, col: usize, off: usize) {
+        let bias = post.bias.map(|b| {
+            if post.bias_rows {
+                &b[row0..row0 + self.rows]
+            } else {
+                &b[col..col + self.lanes]
+            }
+        });
+        match (bias, post.relu) {
+            (Some(bias), None) => {
+                // Bias-only fuses as an inline write-back loop: an
+                // indirect SIMD store call costs more than the one extra
+                // add this epilogue needs.
+                for i in 0..self.rows {
+                    let acc_row = &self.acc[i * self.nr..i * self.nr + self.lanes];
+                    let c_row = &mut self.dst[i * self.ldc..i * self.ldc + self.lanes];
+                    if post.bias_rows {
+                        let bv = bias[i];
+                        if self.add {
+                            for (cv, av) in c_row.iter_mut().zip(acc_row) {
+                                *cv = *cv + av + bv;
+                            }
+                        } else {
+                            for (cv, av) in c_row.iter_mut().zip(acc_row) {
+                                *cv = av + bv;
                             }
                         }
-                        Epilogue::BiasRelu(bias, mask) => {
-                            // One fused SIMD store covers the whole tile:
-                            // bias vector and edge mask stay in registers
-                            // across its rows, and the sign bits fall out
-                            // of the vector compare.
-                            let dst = &mut c_rows[row0 * n + j0..];
-                            let mut bits = [0u32; MAX_MR];
-                            kern.store_tile(
-                                &acc,
-                                dst,
-                                n,
-                                i_hi,
-                                j_hi,
-                                Some(&bias[j0..j0 + j_hi]),
-                                !first_panel,
-                                true,
-                                &mut bits,
-                            );
-                            for (i, &row_bits) in bits.iter().enumerate().take(i_hi) {
-                                mask.or_bits((r0 + row0 + i) * n + j0, row_bits, j_hi);
-                            }
+                    } else if self.add {
+                        for ((cv, av), bv) in c_row.iter_mut().zip(acc_row).zip(bias) {
+                            *cv = *cv + av + bv;
+                        }
+                    } else {
+                        for ((cv, av), bv) in c_row.iter_mut().zip(acc_row).zip(bias) {
+                            *cv = av + bv;
                         }
                     }
-                    continue;
                 }
-                for i in 0..i_hi {
-                    let acc_row = &acc[i * nr..i * nr + j_hi];
-                    let off = (row0 + i) * n + j0;
-                    let c_row = &mut c_rows[off..off + j_hi];
-                    if first_panel {
-                        c_row.copy_from_slice(acc_row);
-                    } else {
-                        for (cv, av) in c_row.iter_mut().zip(acc_row) {
-                            *cv += av;
-                        }
+            }
+            (bias, relu) => {
+                // One fused SIMD store covers the whole run: bias and edge
+                // mask stay in registers across its rows, and the sign
+                // bits fall out of the vector compare.
+                let mut bits = [0u32; MAX_MR];
+                kern.store_tile(
+                    self.acc,
+                    self.dst,
+                    self.ldc,
+                    self.rows,
+                    self.lanes,
+                    bias,
+                    post.bias_rows,
+                    self.add,
+                    relu.is_some(),
+                    &mut bits,
+                );
+                if let Some(mask) = relu {
+                    for (i, &row_bits) in bits.iter().enumerate().take(self.rows) {
+                        mask.or_bits(off + i * self.ldc, row_bits, self.lanes);
                     }
                 }
             }
         }
     }
+}
+
+/// The `t`-th of `parts` contiguous, near-equal shares of `0..items` —
+/// the one partition every split here uses, so work boundaries are a pure
+/// function of `(items, parts)`.
+fn share(items: usize, parts: usize, t: usize) -> std::ops::Range<usize> {
+    let per = items / parts;
+    let extra = items % parts;
+    let lo = t * per + t.min(extra);
+    lo..lo + per + usize::from(t < extra)
 }
 
 /// Workers [`scoped_chunks`] will actually run for `items` work items
@@ -830,10 +1314,10 @@ pub fn effective_workers(m: usize, threads: usize) -> usize {
 
 /// Splits `buf` into contiguous runs of whole `unit`-sized items (`items`
 /// of them; the final item may be short) and runs `f(chunk_index,
-/// first_item, chunk)` for each run on a scoped thread. The partition is a
-/// pure function of `(items, threads)`, so any work whose per-item order
-/// is fixed stays bitwise-deterministic for every thread count. Shared by
-/// the GEMM row split ([`run_shared`]) and the
+/// first_item, chunk)` for each run on a scoped thread. The partition is
+/// [`share`], a pure function of `(items, threads)` — the same one the
+/// GEMM row split uses — so any work whose per-item order is fixed stays
+/// bitwise-deterministic for every thread count. Used by the
 /// [`crate::ops::im2col::col2im_t`] sample split.
 pub(crate) fn scoped_chunks<F>(buf: &mut [f32], unit: usize, items: usize, threads: usize, f: F)
 where
@@ -847,20 +1331,15 @@ where
         f(0, 0, buf);
         return;
     }
-    let per = items / threads;
-    let extra = items % threads;
     std::thread::scope(|scope| {
         let mut rest = buf;
-        let mut item = 0usize;
         for t in 0..threads {
-            let count = per + usize::from(t < extra);
-            let len = (count * unit).min(rest.len());
+            let own = share(items, threads, t);
+            let len = (own.len() * unit).min(rest.len());
             let (chunk, tail) = rest.split_at_mut(len);
             rest = tail;
-            let first = item;
-            item += count;
             let f = &f;
-            scope.spawn(move || f(t, first, chunk));
+            scope.spawn(move || f(t, own.start, chunk));
         }
     });
 }
@@ -954,6 +1433,10 @@ fn pack_a<E: PackElem>(
             }
         }
         MatSrc::Im2col { x, geom } => pack_a_im2col(x, &geom, buf, i0, mc, p0, kc, mr),
+        // Same strip layout on both sides: A rows of the transpose are B
+        // columns of the lowering.
+        MatSrc::Im2colT { x, geom } => pack_b_im2col(x, &geom, buf, p0, kc, i0, mc, mr),
+        MatSrc::Packed(_) => unreachable!("prepacked operands are read in place"),
     }
 }
 
@@ -1025,6 +1508,16 @@ fn pack_b<E: PackElem>(
             for s in 0..strips {
                 let strip = &mut buf[s * kc * nr..(s + 1) * kc * nr];
                 let lanes = nr.min(nc - s * nr);
+                let pix0 = j0 + s * nr;
+                if lanes == nr && pix0 % hw + nr <= hw {
+                    // All nr pixels in one sample: each depth row is one
+                    // contiguous nr-float run of the channel plane.
+                    let base = (pix0 / hw * c) * hw + pix0 % hw;
+                    for (p, cell) in strip.chunks_exact_mut(nr).enumerate() {
+                        E::pack_from(cell, &data[base + (p0 + p) * hw..][..nr]);
+                    }
+                    continue;
+                }
                 for jj in 0..nr {
                     if jj >= lanes {
                         zero_lane(strip, kc, nr, jj);
@@ -1039,6 +1532,8 @@ fn pack_b<E: PackElem>(
             }
         }
         MatSrc::Im2col { x, geom } => pack_b_im2col(x, &geom, buf, p0, kc, j0, nc, nr),
+        MatSrc::Im2colT { x, geom } => pack_a_im2col(x, &geom, buf, j0, nc, p0, kc, nr),
+        MatSrc::Packed(_) => unreachable!("prepacked operands are read in place"),
     }
 }
 

@@ -323,10 +323,11 @@ impl GroupedExecutor {
         self.backward_inner(model, x, dlogits, true)
     }
 
-    /// [`GroupedExecutor::backward_from_logits`] body; `want_dx` skips
-    /// assembling the full-batch input gradient (an input-sized buffer
-    /// plus one copy per group-0 chunk) when the caller discards it, as
-    /// [`GroupedExecutor::train_step`] does.
+    /// [`GroupedExecutor::backward_from_logits`] body; `want_dx = false`
+    /// skips the input gradient when the caller discards it, as
+    /// [`GroupedExecutor::train_step`] does: group 0's first node runs a
+    /// params-only backward (no data-gradient GEMM), and no full-batch
+    /// input-gradient buffer is assembled.
     fn backward_inner(
         &mut self,
         model: &mut LoweredNet,
@@ -385,11 +386,15 @@ impl GroupedExecutor {
                     self.last_fwd_start[g] = start;
                 }
                 slice_batch_into(&dy_full, start, end, &mut self.dy_chunk);
+                if g == 0 && !want_dx {
+                    // Nobody reads the input gradient: the first node
+                    // accumulates its parameter gradients only.
+                    model.backward_range_params(group.start..group.end, &self.dy_chunk);
+                    continue;
+                }
                 let d = model.backward_range(group.start..group.end, &self.dy_chunk);
                 if g == 0 {
-                    if want_dx {
-                        stage_rows(&mut dx, &d, start, n);
-                    }
+                    stage_rows(&mut dx, &d, start, n);
                 } else {
                     stage_rows(&mut self.grads[g - 1], &d, start, n);
                 }

@@ -6,10 +6,11 @@ use rand::rngs::StdRng;
 
 use mbs_tensor::init::kaiming_normal;
 use mbs_tensor::ops::{
-    avgpool2d, avgpool2d_backward, conv2d_backward_data, conv2d_backward_weights,
-    conv2d_fused_with, fuse_enabled, global_avg_pool, global_avg_pool_backward, matmul,
-    matmul_a_bt_fused_with, matmul_at_b, maxpool2d_backward, maxpool2d_padded, relu_backward,
-    relu_clamp, relu_inplace, BitMask, Conv2dCfg,
+    avgpool2d, avgpool2d_backward, conv2d_backward_data_packed, conv2d_backward_weights,
+    conv2d_packed, fuse_enabled, global_avg_pool, global_avg_pool_backward, matmul,
+    matmul_a_bt_fused_with, matmul_at_b, maxpool2d_backward, maxpool2d_padded,
+    pack_conv_backward_data, pack_conv_forward, relu_backward, relu_clamp, relu_inplace, BitMask,
+    Conv2dCfg, PackedOperand,
 };
 use mbs_tensor::Tensor;
 
@@ -20,10 +21,18 @@ use crate::module::{stash_mismatch, CacheEntry, CacheStash, Module, Param};
 /// The model zoo's default ([`Conv2d::new`]) is bias-free and
 /// activation-free because convs there pair with normalization layers. A
 /// conv built with [`Conv2d::with_bias_relu`] runs conv + bias + ReLU as
-/// one op: the bias rides the GEMM epilogue and the clamp (plus its 1-bit
-/// backward mask) rides the flat→NCHW transpose, so neither costs a pass
-/// over the output. The `MBS_FUSE=0` knob (or [`Conv2d::set_fused`])
-/// switches to the separate-pass path, which is bitwise identical.
+/// one op: the bias and the clamp (plus its 1-bit backward mask) ride the
+/// GEMM's final-panel store, which writes NCHW directly, so neither costs
+/// a pass over the output. The `MBS_FUSE=0` knob (or
+/// [`Conv2d::set_fused`]) switches to the separate-pass path, which is
+/// bitwise identical.
+///
+/// The layer keeps its weights packed for the forward and data-gradient
+/// GEMMs, each pack built on first use after a weight change: an MBS step
+/// runs every conv once per sub-batch, and all of those runs read the
+/// same pack. The packs are dropped wherever the weights can change —
+/// every [`Module::visit_params`] (the optimizer step, `zero_grad`,
+/// `import_state`) and [`Conv2d::fold_affine`].
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Param,
@@ -33,6 +42,11 @@ pub struct Conv2d {
     fused: bool,
     cache_x: Option<Tensor>,
     mask: Option<BitMask>,
+    /// `weight` as the forward GEMM's A operand ([`pack_conv_forward`]).
+    fwd_pack: Option<PackedOperand>,
+    /// `weight` as the data-gradient GEMM's A operand
+    /// ([`pack_conv_backward_data`]).
+    dgrad_pack: Option<PackedOperand>,
 }
 
 impl Conv2d {
@@ -84,6 +98,8 @@ impl Conv2d {
             fused: fuse_enabled(),
             cache_x: None,
             mask: None,
+            fwd_pack: None,
+            dgrad_pack: None,
         }
     }
 
@@ -112,6 +128,8 @@ impl Conv2d {
             fused: fuse_enabled(),
             cache_x: None,
             mask: None,
+            fwd_pack: None,
+            dgrad_pack: None,
         }
     }
 
@@ -151,6 +169,7 @@ impl Conv2d {
         let out_channels = self.weight.value.shape()[0];
         assert_eq!(scale.len(), out_channels, "scale length");
         assert_eq!(shift.len(), out_channels, "shift length");
+        self.drop_packs();
         let per_channel = self.weight.value.len() / out_channels;
         let wd = self.weight.value.data_mut();
         for (o, &s) in scale.iter().enumerate() {
@@ -174,13 +193,23 @@ impl Conv2d {
         }
     }
 
+    /// Drops both weight packs; the next GEMM that needs one rebuilds it
+    /// from the current weights.
+    fn drop_packs(&mut self) {
+        self.fwd_pack = None;
+        self.dgrad_pack = None;
+    }
+
     /// Forward body shared by the borrowed and owned entry points. Only a
     /// training forward records the backward sign mask; inference applies
     /// a mask-free clamp instead of building bits nobody will read.
     fn run_forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (mut y, mask) = conv2d_fused_with(
+        let w = &self.weight.value;
+        let pack = self.fwd_pack.get_or_insert_with(|| pack_conv_forward(w));
+        let (mut y, mask) = conv2d_packed(
             x,
-            &self.weight.value,
+            w,
+            Some(pack),
             self.bias.as_ref().map(|b| b.value.data()),
             self.fuse_relu && train,
             self.cfg,
@@ -193,28 +222,11 @@ impl Conv2d {
         }
         y
     }
-}
 
-impl Module for Conv2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = self.run_forward(x, train);
-        if train {
-            self.cache_x = Some(x.clone());
-        }
-        y
-    }
-
-    fn forward_owned(&mut self, x: Tensor, train: bool) -> Tensor {
-        let y = self.run_forward(&x, train);
-        if train {
-            // Move the input into the cache — the clone `forward` pays is
-            // the only difference between the two entry points.
-            self.cache_x = Some(x);
-        }
-        y
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    /// Backward body: accumulates the parameter gradients and, when
+    /// `want_dx`, returns the input gradient (a caller that discards it
+    /// skips the data-gradient GEMM and its `col2im`).
+    fn run_backward(&mut self, dy: &Tensor, want_dx: bool) -> Option<Tensor> {
         let x = self
             .cache_x
             .as_ref()
@@ -240,10 +252,54 @@ impl Module for Conv2d {
         }
         let dw = conv2d_backward_weights(x, dy, self.cfg);
         self.weight.grad.add_assign(&dw);
-        conv2d_backward_data(dy, &self.weight.value, x.shape(), self.cfg)
+        if !want_dx {
+            return None;
+        }
+        let w = &self.weight.value;
+        let pack = self
+            .dgrad_pack
+            .get_or_insert_with(|| pack_conv_backward_data(w));
+        Some(conv2d_backward_data_packed(
+            dy,
+            w,
+            Some(pack),
+            x.shape(),
+            self.cfg,
+        ))
+    }
+}
+
+impl Module for Conv2d {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        let y = self.run_forward(x, train);
+        if train {
+            self.cache_x = Some(x.clone());
+        }
+        y
+    }
+
+    fn forward_owned(&mut self, x: Tensor, train: bool) -> Tensor {
+        let y = self.run_forward(&x, train);
+        if train {
+            // Move the input into the cache — the clone `forward` pays is
+            // the only difference between the two entry points.
+            self.cache_x = Some(x);
+        }
+        y
+    }
+
+    fn backward(&mut self, dy: &Tensor) -> Tensor {
+        self.run_backward(dy, true)
+            .expect("the input gradient was requested")
+    }
+
+    fn backward_params(&mut self, dy: &Tensor) {
+        self.run_backward(dy, false);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        // `f` may rewrite the weights (optimizer step, state import).
+        self.drop_packs();
         f(&mut self.weight);
         if let Some(bias) = &mut self.bias {
             f(bias);
@@ -851,6 +907,89 @@ mod tests {
         let mut twice = g1.clone();
         twice.add_assign(&g1);
         assert!(m.weight().grad.max_abs_diff(&twice) < 1e-5);
+    }
+
+    /// The forward output and input gradient of one training pass — the
+    /// two results that read a weight pack. Deliberately no `zero_grad`:
+    /// it would drop the packs and hide a stale one.
+    fn pass_bits(m: &mut Conv2d, x: &Tensor, dy: &Tensor) -> (Vec<u32>, Vec<u32>) {
+        let y = m.forward(x, true);
+        let dx = m.backward(dy);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+        (bits(&y), bits(&dx))
+    }
+
+    /// `m` as a freshly built layer would hold it: same weights, no packs.
+    fn unpacked(m: &Conv2d) -> Conv2d {
+        let mut fresh = m.clone();
+        fresh.drop_packs();
+        fresh
+    }
+
+    #[test]
+    fn weight_packs_follow_every_weight_change() {
+        use crate::module::StateDict;
+        use crate::optim::Sgd;
+        use rand::SeedableRng;
+
+        let x = seeded(&[2, 2, 6, 6], 20);
+        let dy = seeded(&[2, 3, 6, 6], 21);
+        let mut m = Conv2d::with_bias_relu(2, 3, 3, 1, 1, true, true, &mut rng());
+        let _ = pass_bits(&mut m, &x, &dy);
+        assert!(m.fwd_pack.is_some() && m.dgrad_pack.is_some());
+
+        // An optimizer step rewrites the weights through visit_params.
+        Sgd::new(0.1, 0.9, 0.0).step(&mut m);
+        let mut fresh = unpacked(&m);
+        assert_eq!(
+            pass_bits(&mut m, &x, &dy),
+            pass_bits(&mut fresh, &x, &dy),
+            "after Sgd::step"
+        );
+
+        // So does a state import.
+        let mut other =
+            Conv2d::with_bias_relu(2, 3, 3, 1, 1, true, true, &mut StdRng::seed_from_u64(9));
+        let mut dict = StateDict::default();
+        other.export_state(&mut dict);
+        m.import_state(&mut dict).expect("same layer shape");
+        assert_eq!(
+            pass_bits(&mut m, &x, &dy),
+            pass_bits(&mut other, &x, &dy),
+            "after import_state"
+        );
+
+        // And norm folding, which edits the weights directly.
+        m.fold_affine(&[0.5, -2.0, 1.5], &[0.1, 0.2, -0.3]);
+        let mut fresh = unpacked(&m);
+        assert_eq!(
+            pass_bits(&mut m, &x, &dy),
+            pass_bits(&mut fresh, &x, &dy),
+            "after fold_affine"
+        );
+    }
+
+    #[test]
+    fn params_only_backward_accumulates_the_same_gradients() {
+        let x = seeded(&[2, 2, 6, 6], 22);
+        let dy = seeded(&[2, 3, 6, 6], 23);
+        let mut full = Conv2d::with_bias_relu(2, 3, 3, 1, 1, true, true, &mut rng());
+        let mut params_only = full.clone();
+        let _ = full.forward(&x, true);
+        let _ = full.backward(&dy);
+        let _ = params_only.forward(&x, true);
+        params_only.backward_params(&dy);
+        assert!(
+            params_only.dgrad_pack.is_none(),
+            "no data-gradient GEMM ran"
+        );
+        let mut grads = Vec::new();
+        full.visit_params(&mut |p| grads.push(p.grad.clone()));
+        let mut i = 0;
+        params_only.visit_params(&mut |p| {
+            assert_eq!(p.grad, grads[i]);
+            i += 1;
+        });
     }
 
     #[test]

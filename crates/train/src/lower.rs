@@ -171,6 +171,15 @@ impl Module for LayerModule {
         }
     }
 
+    fn backward_params(&mut self, dy: &Tensor) {
+        match self {
+            LayerModule::Conv(m) => m.backward_params(dy),
+            _ => {
+                let _ = self.backward(dy);
+            }
+        }
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         match self {
             LayerModule::Conv(m) => m.visit_params(f),
@@ -497,6 +506,15 @@ impl Module for NodeModule {
         }
     }
 
+    fn backward_params(&mut self, dy: &Tensor) {
+        match &mut self.body {
+            NodeBody::Single(m) => m.backward_params(dy),
+            _ => {
+                let _ = self.backward(dy);
+            }
+        }
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         match &mut self.body {
             NodeBody::Single(m) => m.visit_params(f),
@@ -599,6 +617,25 @@ impl LoweredNet {
             d = node.backward(&d);
         }
         d
+    }
+
+    /// [`LoweredNet::backward_range`] for a caller that discards the
+    /// range's input gradient: the range's first node runs
+    /// [`Module::backward_params`], so a stem conv skips its data-gradient
+    /// GEMM. Parameter gradients are bitwise those of `backward_range`.
+    ///
+    /// # Panics
+    ///
+    /// As for [`LoweredNet::backward_range`].
+    pub fn backward_range_params(&mut self, range: Range<usize>, dy: &Tensor) {
+        let Some((first, rest)) = self.nodes[range].split_first_mut() else {
+            return;
+        };
+        let mut d: Option<Tensor> = None;
+        for node in rest.iter_mut().rev() {
+            d = Some(node.backward(d.as_ref().unwrap_or(dy)));
+        }
+        first.backward_params(d.as_ref().unwrap_or(dy));
     }
 
     /// Moves the backward caches of nodes `range` (the state the last

@@ -376,6 +376,14 @@ pub trait Module {
     /// gradients, and returns the input gradient.
     fn backward(&mut self, dy: &Tensor) -> Tensor;
 
+    /// [`Module::backward`] for a caller that discards the input gradient:
+    /// accumulates the parameter gradients only, bitwise as `backward`
+    /// does. The default runs the full backward; layers whose input
+    /// gradient costs real work (Conv2d's data-gradient GEMM) skip it.
+    fn backward_params(&mut self, dy: &Tensor) {
+        let _ = self.backward(dy);
+    }
+
     /// Visits every parameter (used by optimizers and gradient checks).
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
 

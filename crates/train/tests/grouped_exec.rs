@@ -311,3 +311,53 @@ fn grouped_training_reduces_loss() {
     }
     assert!(last < first, "loss should fall: {first} -> {last}");
 }
+
+/// `train_step` discards the input gradient, so group 0's first node —
+/// the stem conv here — runs a params-only backward that skips its
+/// data-gradient GEMM. Its parameter gradients, and so the parameters
+/// and the optimizer momentum after every step, must equal those of the
+/// full `backward_from_logits` path bit for bit.
+#[test]
+fn params_only_first_node_backward_matches_full_backward_bitwise() {
+    use mbs_tensor::ops::{cross_entropy, softmax, softmax_xent_backward};
+    use mbs_train::StateDict;
+
+    let net = toy::runtime_mix(8, 8);
+    let nodes = net.nodes().len();
+    let schedule = Schedule::new(
+        ExecConfig::Mbs1,
+        8,
+        vec![Group::new(0, 2, 2, 8), Group::new(2, nodes, 8, 8)],
+        true,
+    );
+    let d = generate(8, 8, 0.3, 93);
+    let (mut a, mut b) = lowered_pair(&net, 23);
+    let mut opt_a = Sgd::new(0.05, 0.9, 1e-4);
+    let mut opt_b = Sgd::new(0.05, 0.9, 1e-4);
+    let mut exec_a = GroupedExecutor::new(&schedule, a.len());
+    let mut exec_b = GroupedExecutor::new(&schedule, b.len());
+    for _ in 0..3 {
+        let la = exec_a.train_step(&mut a, &d.images, &d.labels, &mut opt_a);
+        b.zero_grad();
+        let probs = softmax(exec_b.forward(&mut b, &d.images, true));
+        let lb = cross_entropy(&probs, &d.labels);
+        let dlogits = softmax_xent_backward(&probs, &d.labels, 8);
+        let dx = exec_b.backward_from_logits(&mut b, &d.images, dlogits);
+        assert_eq!(dx.shape(), d.images.shape(), "the full path returns dx");
+        opt_b.step(&mut b);
+        assert_eq!(la.to_bits(), lb.to_bits(), "losses");
+    }
+    let state_bits = |m: &mut LoweredNet, o: &Sgd| {
+        let mut dict = StateDict::default();
+        m.export_state(&mut dict);
+        o.export_state(&mut dict);
+        dict.into_entries()
+            .into_iter()
+            .flat_map(|e| e.data)
+            .map(f32::to_bits)
+            .collect::<Vec<u32>>()
+    };
+    let (sa, sb) = (state_bits(&mut a, &opt_a), state_bits(&mut b, &opt_b));
+    assert!(!sa.is_empty());
+    assert!(sa == sb, "parameters or momentum differ");
+}
